@@ -16,8 +16,7 @@ HiperLAN/2 case study with buffer minimisation on:
 * the buffer-capacity vector is bit-identical to the baseline's — the
   speedup never buys a different answer;
 * a generated two-region workload drained with ``minimize_buffers`` on
-  settles identically under the baseline and budgeted configurations and
-  across the serial, threaded and process executors.
+  settles identically under the baseline and budgeted configurations.
 
 The trajectory is written to ``BENCH_analysis_budget.json`` at the
 repository root (override with ``$ANALYSIS_BUDGET_JSON``); the env knobs
@@ -31,12 +30,12 @@ import os
 import pytest
 
 from repro.platform.state import PlatformState
+from repro.runtime.engine import WorkloadEngine
 from repro.runtime.manager import RuntimeResourceManager
 from repro.spatialmapper.config import MapperConfig
 from repro.spatialmapper.mapper import SpatialMapper
 from tests.harness import (
     build_two_region_platform,
-    make_engine,
     two_region_partition,
     two_region_workload,
 )
@@ -66,7 +65,7 @@ def step4_rounds(case_study, rounds, **knobs):
     return result, mapper.analysis.snapshot()
 
 
-def run_workload(executor, **knobs):
+def run_workload(**knobs):
     """Drain the harness workload with buffer minimisation on."""
     platform = build_two_region_platform()
     manager = RuntimeResourceManager(
@@ -74,12 +73,7 @@ def run_workload(executor, **knobs):
         config=MapperConfig(analysis_iterations=3, minimize_buffers=True, **knobs),
         partition=two_region_partition(platform),
     )
-    engine = make_engine(manager, executor=executor, park_rejections=True)
-    try:
-        return engine.run(two_region_workload(SEED))
-    finally:
-        if executor == "process":
-            engine.executor.close()
+    return WorkloadEngine(manager, park_rejections=True).run(two_region_workload(SEED))
 
 
 def test_ext_analysis_budget(benchmark, case_study):
@@ -125,16 +119,9 @@ def test_ext_analysis_budget(benchmark, case_study):
     assert reduction >= MIN_REDUCTION, comparison
 
     # Differential: with minimize_buffers on, the analysis changes must not
-    # shift a single admission — baseline vs budgeted, and budgeted across
-    # all three executors.
-    serial_base = run_workload("serial", **BASELINE_KNOBS)
-    executor_logs = {}
-    for executor in ("serial", "threaded", "process"):
-        outcome = run_workload(executor)
-        executor_logs[executor] = outcome.decision_log()
-        assert outcome.decision_log() == serial_base.decision_log(), executor
-    assert executor_logs["threaded"] == executor_logs["serial"]
-    assert executor_logs["process"] == executor_logs["serial"]
+    # shift a single admission.
+    serial_base = run_workload(**BASELINE_KNOBS)
+    assert run_workload().decision_log() == serial_base.decision_log()
     benchmark.extra_info["workload_decisions"] = len(serial_base.decision_log())
 
     payload = {

@@ -32,12 +32,12 @@ off and on, and asserts the lane's admission-rate gain in the high-fill band
 (``$RESCUE_MIN_GAIN`` relaxes the floor, ``$RESCUE_ARRIVALS`` shrinks the
 stream for CI, and the trajectory lands in ``BENCH_rescue_lane.json``).
 
-Two event-driven companions exercise the workload engine on the same
+Three event-driven companions exercise the workload engine on the same
 platform: `test_ext_engine_drain_parallelism` replays one generated
-workload through the unsharded pipeline, the sharded serial executor and
-the sharded threaded (worker-per-region) executor — asserting the drains
-are decision-identical and that region-scoped admission over the 4-region
-partition delivers a measurable per-admission wall-clock improvement — and
+workload through the unsharded pipeline and the sharded engine — asserting
+that region-scoped admission over the 4-region partition delivers a
+measurable per-admission wall-clock improvement — `test_ext_obs_overhead`
+bounds what the observability layer costs that drain, and
 `test_ext_admission_rate_vs_offered_load` sweeps the offered load of a
 Poisson mix to produce the paper-style admission-rate-versus-load curve
 (optionally written to ``$ADMISSION_LOAD_CURVE_JSON``).
@@ -55,12 +55,7 @@ import pytest
 from repro.obs import ObsConfig
 from repro.platform.regions import RegionPartition
 from repro.runtime.admission_control import GovernorConfig, LoadSheddingGovernor
-from repro.runtime.engine import (
-    ProcessRegionExecutor,
-    SerialRegionExecutor,
-    ThreadedRegionExecutor,
-    WorkloadEngine,
-)
+from repro.runtime.engine import SerialRegionExecutor, WorkloadEngine
 from repro.runtime.manager import RuntimeResourceManager
 from repro.spatialmapper.config import MapperConfig
 from repro.workloads.arrivals import (
@@ -415,7 +410,7 @@ def test_ext_admission_fill_sweep(benchmark):
 
 
 # --------------------------------------------------------------------------- #
-# Event-driven engine: parallel drain comparison and offered-load curve
+# Event-driven engine: sharded drain comparison and offered-load curve
 # --------------------------------------------------------------------------- #
 
 ENGINE_SEED = 42
@@ -443,14 +438,10 @@ def engine_traffic_classes(load_factor=1.0):
     return classes
 
 
-def run_engine_config(
-    workload, *, sharded, executor_kind, park=True, workers=None, info=None, obs=None
-):
+def run_engine_config(workload, *, sharded, park=True, obs=None):
     """Replay one workload on a fresh manager under one engine configuration.
 
-    ``info``, when given, receives executor facts the outcome does not carry
-    (currently the process executor's resolved ``start_method``).  ``obs``
-    is forwarded to the engine (``None`` = observability fully off).
+    ``obs`` is forwarded to the engine (``None`` = observability fully off).
     """
     platform = build_sweep_platform()
     partition = (
@@ -461,33 +452,18 @@ def run_engine_config(
     manager = RuntimeResourceManager(
         platform, config=MapperConfig(analysis_iterations=3), partition=partition
     )
-    if executor_kind == "threaded":
-        executor = ThreadedRegionExecutor(partition)
-    elif executor_kind == "process":
-        executor = ProcessRegionExecutor(partition, workers=workers)
-    else:
-        executor = SerialRegionExecutor()
-    if info is not None:
-        info["start_method"] = getattr(executor, "start_method", None)
     engine = WorkloadEngine(
-        manager, executor=executor, park_rejections=park, obs=obs
+        manager, executor=SerialRegionExecutor(), park_rejections=park, obs=obs
     )
-    try:
-        return engine.run(workload)
-    finally:
-        if executor_kind == "process":
-            executor.close()
+    return engine.run(workload)
 
 
 def test_ext_engine_drain_parallelism(benchmark):
-    """Serial vs parallel drain of one event stream over >= 4 regions.
+    """Unsharded vs sharded drain of one event stream over >= 4 regions.
 
-    Pins the two halves of the tentpole claim: the threaded worker-per-region
-    executor is decision-identical to the serial drain, and region-scoped
-    admission over the 4-region partition is measurably cheaper per
-    admission (wall clock) than the unsharded pipeline on the same stream.
-    (CPython threads do not speed up the pure-Python mapper — the threaded
-    figures are recorded to show the drains match, not to win.)
+    Region-scoped admission over the 4-region partition must be measurably
+    cheaper per admission (wall clock) than the unsharded pipeline on the
+    same stream.
     """
     workload = generate_workload(
         ENGINE_SEED,
@@ -498,22 +474,11 @@ def test_ext_engine_drain_parallelism(benchmark):
     results = {}
 
     def run_all():
-        results["unsharded"] = run_engine_config(
-            workload, sharded=False, executor_kind="serial"
-        )
-        results["serial"] = run_engine_config(
-            workload, sharded=True, executor_kind="serial"
-        )
-        results["threaded"] = run_engine_config(
-            workload, sharded=True, executor_kind="threaded"
-        )
+        results["unsharded"] = run_engine_config(workload, sharded=False)
+        results["serial"] = run_engine_config(workload, sharded=True)
         return results
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)
-
-    # The parallel drain decides exactly like the serial drain.
-    assert results["serial"].decision_log() == results["threaded"].decision_log()
-    assert results["serial"].departures == results["threaded"].departures
 
     comparison = {}
     for label, outcome in results.items():
@@ -541,12 +506,6 @@ def test_ext_engine_drain_parallelism(benchmark):
     benchmark.extra_info["sharded_speedup"] = round(speedup, 3)
     assert speedup >= 1.1, comparison
 
-    # The threaded drain must not collapse under lock/GIL overhead.
-    assert (
-        comparison["threaded"]["per_admission_wall_ms"]
-        <= 2.0 * comparison["serial"]["per_admission_wall_ms"]
-    ), comparison
-
     out_path = os.environ.get("ADMISSION_SWEEP_JSON")
     if out_path and os.path.exists(out_path):
         with open(out_path, encoding="utf-8") as handle:
@@ -557,151 +516,61 @@ def test_ext_engine_drain_parallelism(benchmark):
             json.dump(payload, handle, indent=2)
 
 
-def test_ext_process_drain_throughput(benchmark):
-    """Serial vs threaded vs process drain of one stream over 4 regions.
+def test_ext_obs_overhead(benchmark):
+    """What the observability layer costs a sharded 4-region drain.
 
-    The process executor is the one back-end the GIL cannot serialize:
-    region lanes ship out as snapshots, decide in worker processes, and
-    fold back as allocation deltas.  This benchmark replays one generated
-    4-region workload through all three executors, asserts they are
-    decision-identical, and records the drain throughput comparison in
-    ``BENCH_process_drain.json`` at the repository root (with
-    ``os.cpu_count()`` — the speedup claim only makes sense on a
-    multi-core runner).
-
-    The speedup floor defaults to 1.8x on runners with >= 4 cores and is
-    waived elsewhere; ``$PROCESS_DRAIN_MIN_SPEEDUP`` overrides it either
-    way (the CI smoke step pins ``0`` — it asserts the protocol, not the
-    hardware).  The artifact records the floor and the waiver reason when
-    one applied, plus the pool's resolved start method and the average
-    bytes of one snapshot frame vs one delta frame, so the JSON states
-    exactly what was (and was not) measured.
+    The same drain runs with the obs layer absent, constructed-but-disabled,
+    and fully on at sample rate 1.0.  The disabled layer must stay within
+    ``$PROCESS_DRAIN_MAX_OBS_OFF_OVERHEAD_PCT`` (default 3%) of the obs-off
+    drain, full-sampling tracing + metrics within
+    ``$PROCESS_DRAIN_MAX_OBS_OVERHEAD_PCT`` (default 5%), with an absolute
+    slack of ``$PROCESS_DRAIN_OBS_SLACK_MS`` (default 50 ms) against jitter.
+    On a runner with fewer than 4 cores drain wall-clock is scheduler
+    noise, so the floors are recorded with the waiver reason but not
+    asserted; ``$PROCESS_DRAIN_OBS_STRICT=1`` forces them anywhere.
     """
     cpu_count = os.cpu_count() or 1
-    workers = int(os.environ.get("PROCESS_DRAIN_WORKERS", "0")) or min(4, cpu_count)
     workload = generate_workload(
         ENGINE_SEED,
         ENGINE_HORIZON_NS,
         engine_traffic_classes(load_factor=3.0),
-        name="process-drain",
+        name="obs-overhead",
     )
     results = {}
-    process_info = {}
     obs_walls = {}
 
     def run_all():
-        results["serial"] = run_engine_config(
-            workload, sharded=True, executor_kind="serial"
-        )
-        results["threaded"] = run_engine_config(
-            workload, sharded=True, executor_kind="threaded"
-        )
-        # The observability cost columns: the same process drain with the
-        # obs layer absent, constructed-but-disabled, and fully on at
-        # sample rate 1.0.  Each configuration runs twice, interleaved, and
-        # the overhead comparison takes each configuration's best drain —
-        # machine-load drift hits all three alike, a one-sided spike only
-        # one, so best-of-interleaved is the noise-robust estimator.
+        # Each configuration runs twice, interleaved, and the overhead
+        # comparison takes each configuration's best drain — machine-load
+        # drift hits all three alike, a one-sided spike only one, so
+        # best-of-interleaved is the noise-robust estimator.
         obs_configs = (
-            ("process", None),
-            ("process_obs_disabled", ObsConfig(enabled=False)),
-            ("process_obs_on", ObsConfig(sample_rate=1.0)),
+            ("obs_off", None),
+            ("obs_disabled", ObsConfig(enabled=False)),
+            ("obs_on", ObsConfig(sample_rate=1.0)),
         )
         for _ in range(2):
             for label, obs in obs_configs:
-                outcome = run_engine_config(
-                    workload,
-                    sharded=True,
-                    executor_kind="process",
-                    workers=workers,
-                    info=process_info if label == "process" else None,
-                    obs=obs,
-                )
+                outcome = run_engine_config(workload, sharded=True, obs=obs)
                 results[label] = outcome
                 obs_walls.setdefault(label, []).append(outcome.drain_wall_s)
         return results
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)
 
-    # Identical decisions across all three executors — the differential
-    # suites pin this on small workloads; the benchmark re-pins it at scale.
-    for kind in ("threaded", "process", "process_obs_disabled", "process_obs_on"):
-        assert results["serial"].decision_log() == results[kind].decision_log()
-        assert results["serial"].departures == results[kind].departures
+    # Observability only observes: identical decisions with it on or off.
+    for label in ("obs_disabled", "obs_on"):
+        assert results["obs_off"].decision_log() == results[label].decision_log()
+        assert results["obs_off"].departures == results[label].departures
     # The obs-on run must actually have traced and metered the drain.
-    assert results["process_obs_on"].spans
-    assert results["process_obs_on"].metrics is not None
-    assert results["process_obs_disabled"].spans == []
+    assert results["obs_on"].spans
+    assert results["obs_on"].metrics is not None
+    assert results["obs_disabled"].spans == []
 
-    comparison = {}
-    for label, outcome in results.items():
-        assert outcome.decided > 0
-        comparison[label] = {
-            "decided": outcome.decided,
-            "admitted": len(outcome.admitted),
-            "drain_wall_ms": round(outcome.drain_wall_s * 1e3, 3),
-            "per_admission_wall_ms": round(
-                outcome.drain_wall_s / outcome.decided * 1e3, 4
-            ),
-        }
-    worker_stats = results["process"].telemetry.workers
-    speedup = (
-        comparison["serial"]["drain_wall_ms"] / comparison["process"]["drain_wall_ms"]
-    )
-
-    # Per-dispatch byte honesty: what one full (snapshot) frame and one
-    # delta frame actually cost on the wire, averaged over the run.
-    full_dispatches = sum(w["full_dispatches"] for w in worker_stats.values())
-    delta_dispatches = sum(w["delta_dispatches"] for w in worker_stats.values())
-    snapshot_bytes = sum(w["snapshot_bytes"] for w in worker_stats.values())
-    delta_bytes = sum(w["delta_dispatch_bytes"] for w in worker_stats.values())
-    dispatch_bytes = {
-        "full_dispatches": int(full_dispatches),
-        "delta_dispatches": int(delta_dispatches),
-        "snapshot_bytes_total": int(snapshot_bytes),
-        "delta_bytes_total": int(delta_bytes),
-        "snapshot_bytes_per_full_dispatch": round(
-            snapshot_bytes / full_dispatches, 1
-        )
-        if full_dispatches
-        else None,
-        "delta_bytes_per_delta_dispatch": round(delta_bytes / delta_dispatches, 1)
-        if delta_dispatches
-        else None,
-    }
-
-    # The speedup floor and, when it is waived, the reason — recorded in
-    # the artifact so a green run on a starved runner cannot masquerade as
-    # a measured parallel win.
-    floor_override = os.environ.get("PROCESS_DRAIN_MIN_SPEEDUP")
-    min_speedup = float(
-        floor_override
-        if floor_override is not None
-        else ("1.8" if cpu_count >= 4 else "0")
-    )
-    if floor_override is not None:
-        waiver = f"floor overridden via PROCESS_DRAIN_MIN_SPEEDUP={floor_override}"
-    elif cpu_count < 4:
-        waiver = (
-            f"cpu_count={cpu_count} < 4: parallel speedup not expected on "
-            "this runner, protocol asserted only"
-        )
-    else:
-        waiver = None
-
-    # Observability cost, against the obs-off process drain: the disabled
-    # layer must be near-free (CI pins <= 3%) and full-sampling tracing +
-    # metrics must stay within the documented <= 5% budget.  Shared runners
-    # are noisy, so both floors are env-overridable and an absolute slack
-    # (default 25 ms) keeps sub-millisecond deltas from failing on jitter.
-    baseline_wall_ms = min(obs_walls["process"]) * 1e3
+    baseline_wall_ms = min(obs_walls["obs_off"]) * 1e3
     slack_ms = float(os.environ.get("PROCESS_DRAIN_OBS_SLACK_MS", "50"))
     max_off_pct = float(os.environ.get("PROCESS_DRAIN_MAX_OBS_OFF_OVERHEAD_PCT", "3"))
     max_on_pct = float(os.environ.get("PROCESS_DRAIN_MAX_OBS_OVERHEAD_PCT", "5"))
-    # Like the speedup floor: on a starved runner (fewer cores than the
-    # engine + workers need) drain wall-clock is scheduler noise, so the
-    # overhead floors are recorded but waived, with the reason in the
-    # artifact.  $PROCESS_DRAIN_OBS_STRICT=1 forces them anywhere.
     if os.environ.get("PROCESS_DRAIN_OBS_STRICT"):
         overhead_waiver = None
     elif cpu_count < 4:
@@ -712,15 +581,13 @@ def test_ext_process_drain_throughput(benchmark):
     else:
         overhead_waiver = None
     obs_overhead = {
+        "cpu_count": cpu_count,
         "baseline_drain_wall_ms": round(baseline_wall_ms, 3),
         "slack_ms": slack_ms,
-        "repeats": len(obs_walls["process"]),
+        "repeats": len(obs_walls["obs_off"]),
         "overhead_waiver": overhead_waiver,
     }
-    for label, max_pct in (
-        ("process_obs_disabled", max_off_pct),
-        ("process_obs_on", max_on_pct),
-    ):
+    for label, max_pct in (("obs_disabled", max_off_pct), ("obs_on", max_on_pct)):
         wall_ms = min(obs_walls[label]) * 1e3
         delta_ms = wall_ms - baseline_wall_ms
         pct = delta_ms / baseline_wall_ms * 100.0 if baseline_wall_ms else 0.0
@@ -731,43 +598,15 @@ def test_ext_process_drain_throughput(benchmark):
             "overhead_pct": round(pct, 2),
             "max_overhead_pct": max_pct,
         }
+    benchmark.extra_info["obs_overhead"] = obs_overhead
 
-    payload = {
-        "cpu_count": cpu_count,
-        "workers": workers,
-        "start_method": process_info.get("start_method"),
-        "regions": SWEEP_REGIONS * SWEEP_REGIONS,
-        "comparison": comparison,
-        "process_speedup_vs_serial": round(speedup, 3),
-        "min_speedup": min_speedup,
-        "speedup_waiver": waiver,
-        "dispatch_bytes": dispatch_bytes,
-        "obs_overhead": obs_overhead,
-        "worker_stats": {
-            name: {key: round(value, 6) for key, value in values.items()}
-            for name, values in worker_stats.items()
-        },
-    }
-    benchmark.extra_info.update(payload)
-
-    out_path = os.environ.get("PROCESS_DRAIN_JSON")
-    if not out_path:
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        out_path = os.path.join(root, "BENCH_process_drain.json")
-    with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-
-    # The protocol must have actually shipped work to the workers.
-    assert worker_stats and sum(w["requests"] for w in worker_stats.values()) > 0
-    assert speedup >= min_speedup, payload
     if overhead_waiver is None:
-        for label in ("process_obs_disabled", "process_obs_on"):
+        for label in ("obs_disabled", "obs_on"):
             entry = obs_overhead[label]
             assert (
                 entry["overhead_pct"] <= entry["max_overhead_pct"]
                 or entry["overhead_ms"] <= slack_ms
-            ), payload
+            ), obs_overhead
 
 
 # --------------------------------------------------------------------------- #
@@ -1155,9 +994,7 @@ def test_ext_admission_rate_vs_offered_load(benchmark):
             workload = generate_workload(
                 ENGINE_SEED, ENGINE_HORIZON_NS, classes, name=f"load-{factor}"
             )
-            outcome = run_engine_config(
-                workload, sharded=True, executor_kind="serial"
-            )
+            outcome = run_engine_config(workload, sharded=True)
             curve.append(
                 {
                     "load_factor": factor,

@@ -6,27 +6,16 @@ applications is only known at run time.  This example makes that concrete
 at engine scale: a region-sharded MPSoC receives a *generated* bursty
 workload — one traffic class per region plus a cross-region mix whose
 applications pin their source and sink into different regions — driven
-through the discrete-event workload engine with the worker-per-region
-executor, the inter-region corridor planner and cache-aware rejection
-parking.  The engine's per-lane telemetry shows where requests settle
-(region lanes, the multi-region lane, the residual global lane) and what
-the region locks cost; the same workload is then replayed on the
-process-parallel snapshot-out / delta-in executor (decision-identical,
-with per-worker traffic telemetry) and the offered load is swept to
-trace the admission-rate-versus-load curve the run-time mapper exists
-to bend.
+through the discrete-event workload engine with the inter-region corridor
+planner and cache-aware rejection parking.  The engine's per-lane
+telemetry shows where requests settle (region lanes, the multi-region
+lane, the residual global lane); the offered load is then swept to trace
+the admission-rate-versus-load curve the run-time mapper exists to bend.
 
 Run with:  python examples/multi_application_runtime.py
 """
 
-from repro import (
-    MapperConfig,
-    ObsConfig,
-    ProcessRegionExecutor,
-    RuntimeResourceManager,
-    ThreadedRegionExecutor,
-    WorkloadEngine,
-)
+from repro import MapperConfig, ObsConfig, RuntimeResourceManager, WorkloadEngine
 from repro.obs.metrics import split_name
 from repro.platform.regions import RegionPartition
 from repro.reporting import format_table
@@ -83,7 +72,7 @@ def traffic_classes(load_factor=1.0):
     return classes
 
 
-def run_workload(load_factor, executor="threaded"):
+def run_workload(load_factor):
     """Play one generated workload through the engine; returns its outcome."""
     platform = build_platform()
     partition = RegionPartition.grid(platform, REGIONS, REGIONS)
@@ -93,49 +82,23 @@ def run_workload(load_factor, executor="threaded"):
         partition=partition,
         cross_region_planner=True,
     )
-    if executor == "process":
-        backend = ProcessRegionExecutor(partition, workers=2)
-    else:
-        backend = ThreadedRegionExecutor(partition)
-    engine = WorkloadEngine(
-        manager, executor=backend, park_rejections=True, obs=ObsConfig()
-    )
+    engine = WorkloadEngine(manager, park_rejections=True, obs=ObsConfig())
     workload = generate_workload(
         seed=2008,
         horizon_ns=25 * MILLISECOND,
         classes=traffic_classes(load_factor),
         name=f"bursty_x{load_factor:g}",
     )
-    try:
-        return engine.run(workload)
-    finally:
-        if executor == "process":
-            backend.close()
-
-
-def _pivot_counters(counters, prefix):
-    """Group ``"<prefix>.<field>[<label>=<row>]"`` counters by row label.
-
-    Returns ``{row: {field: value}}`` — the flat labelled names of the
-    metrics registry pivoted back into per-entity rows for the tables.
-    """
-    rows = {}
-    for name, value in counters.items():
-        base, labels = split_name(name)
-        if not base.startswith(prefix + ".") or not labels:
-            continue
-        row = next(iter(labels.values()))
-        rows.setdefault(row, {})[base[len(prefix) + 1:]] = value
-    return rows
+    return engine.run(workload)
 
 
 def print_telemetry(outcome):
     """Render every telemetry table from the run's metrics registry snapshot.
 
     One source: the engine's folded :class:`~repro.obs.MetricsRegistry`
-    (``outcome.metrics``) — lane settlements, lock costs, per-worker
-    executor traffic and step-4 analysis work all arrive through the same
-    fold, so the tables below are pivots of one flat counter namespace.
+    (``outcome.metrics``) — lane settlements and step-4 analysis work both
+    arrive through the same registry, so the tables below are pivots of one
+    flat counter namespace.
     """
     counters = outcome.metrics["counters"]
     lanes = {}
@@ -157,45 +120,6 @@ def print_telemetry(outcome):
         ],
         title="Engine telemetry (per settlement lane)",
     ))
-    locks = _pivot_counters(counters, "locks")
-    lock_rows = [
-        (
-            region,
-            f"{int(stats.get('acquisitions', 0))}",
-            f"{stats.get('wait_s', 0.0) * 1e3:.2f} ms",
-            f"{stats.get('hold_s', 0.0) * 1e3:.2f} ms",
-        )
-        for region, stats in sorted(locks.items())
-    ]
-    if lock_rows:
-        print(format_table(
-            ["Region lock", "Acquisitions", "Waited", "Held"],
-            lock_rows,
-            title="Region lock telemetry",
-        ))
-    workers = _pivot_counters(counters, "executor")
-    worker_rows = [
-        (
-            worker,
-            f"{int(stats.get('full_dispatches', 0))}",
-            f"{int(stats.get('delta_dispatches', 0))}",
-            f"{int(stats.get('requests', 0))}",
-            f"{stats.get('snapshot_bytes', 0) / 1024:.1f} KiB",
-            f"{stats.get('delta_dispatch_bytes', 0) / 1024:.1f} KiB",
-            f"{stats.get('dispatch_bytes_saved', 0) / 1024:.1f} KiB",
-            f"{stats.get('delta_bytes', 0) / 1024:.1f} KiB",
-            f"{int(stats.get('stale_redecides', 0))}",
-            f"{stats.get('worker_wall_s', 0.0) * 1e3:.2f} ms",
-        )
-        for worker, stats in sorted(workers.items())
-    ]
-    if worker_rows:
-        print(format_table(
-            ["Drain worker", "Fulls", "Deltas", "Requests", "Snapshots out",
-             "Delta frames out", "Bytes saved", "Deltas in", "Stale", "Wall"],
-            worker_rows,
-            title="Process-executor telemetry (per worker)",
-        ))
     analysis = {
         split_name(name)[0][len("analysis."):]: value
         for name, value in counters.items()
@@ -210,7 +134,7 @@ def print_telemetry(outcome):
                 str(int(analysis.get("cache_hits", 0))),
                 str(int(analysis.get("budget_exhausted", 0))),
             )],
-            title="Step-4 analysis telemetry (engine + workers)",
+            title="Step-4 analysis telemetry",
         ))
     latency = outcome.metrics["histograms"].get("engine.request_latency_s")
     if latency and latency["count"]:
@@ -313,16 +237,6 @@ def main():
           f"{outcome.end_time_ns / MILLISECOND:.0f} ms")
     print()
     print_telemetry(outcome)
-    print()
-
-    print("Same workload, process-parallel drain (snapshot-out / delta-in):")
-    process_outcome = run_workload(1.0, executor="process")
-    identical = (
-        process_outcome.decision_log() == outcome.decision_log()
-        and process_outcome.departures == outcome.departures
-    )
-    print(f"  decision-identical to the threaded run: {identical}")
-    print_telemetry(process_outcome)
     print()
 
     print("Admission rate vs offered load:")

@@ -2,22 +2,22 @@
 """Trace-export smoke: run a small traced workload, export it, validate it.
 
 CI's observability gate: drives a generated two-region workload through the
-process executor with tracing and metrics fully on (sample rate 1.0),
-writes the JSONL export, and validates every line against the schema —
-span ids resolve, children nest inside their parents' windows, and worker
-spans only pass the nesting check if the engine re-anchored them into
-their dispatch window.  Exits non-zero on any problem, so a regression in
-trace propagation or re-anchoring fails the build; the export itself is
-uploaded as a CI artifact for inspection with ``python -m repro.obs.report``.
+engine's serial executor with tracing and metrics fully on (sample rate
+1.0), writes the JSONL export, and validates every line against the schema
+— span ids resolve and children nest inside their parents' windows.  Exits
+non-zero on any problem, so a regression in trace propagation fails the
+build; the export itself is uploaded as a CI artifact for inspection with
+``python -m repro.obs.report``.
 
 Run with:  python examples/trace_export_smoke.py [OUT.jsonl]
 """
 
 import sys
 
-from repro import MapperConfig, ObsConfig, ProcessRegionExecutor, RuntimeResourceManager, WorkloadEngine
+from repro import MapperConfig, ObsConfig, RuntimeResourceManager, WorkloadEngine
 from repro.obs import validate_export, write_export
 from repro.platform.regions import RegionPartition
+from repro.runtime import SerialRegionExecutor
 from repro.workloads.arrivals import BurstyArrivals, PoissonArrivals, TrafficClass, generate_workload
 from repro.workloads.synthetic import SyntheticConfig, generate_region_mesh
 
@@ -25,7 +25,7 @@ MILLISECOND = 1e6
 
 
 def run_traced_workload():
-    """One obs-on process-executor run over a 2x1-region mesh."""
+    """One obs-on run over a 2x2-region mesh."""
     platform = generate_region_mesh(2, 3, name="trace_smoke")
     partition = RegionPartition.grid(platform, 2, 2)
     manager = RuntimeResourceManager(
@@ -53,14 +53,10 @@ def run_traced_workload():
     workload = generate_workload(
         seed=2008, horizon_ns=10 * MILLISECOND, classes=classes, name="trace-smoke"
     )
-    executor = ProcessRegionExecutor(partition, workers=2)
     engine = WorkloadEngine(
-        manager, executor=executor, obs=ObsConfig(sample_rate=1.0)
+        manager, executor=SerialRegionExecutor(), obs=ObsConfig(sample_rate=1.0)
     )
-    try:
-        return engine.run(workload)
-    finally:
-        executor.close()
+    return engine.run(workload)
 
 
 def main(argv=None):
@@ -70,17 +66,15 @@ def main(argv=None):
     lines = write_export(
         out_path, outcome.spans, metrics=outcome.metrics, workload=outcome.workload
     )
-    worker_spans = [span for span in outcome.spans if span.process != "engine"]
     print(
         f"{outcome.workload}: {len(outcome.records)} settled, "
-        f"{len(outcome.spans)} spans ({len(worker_spans)} from workers), "
-        f"{lines} export lines -> {out_path}"
+        f"{len(outcome.spans)} spans, {lines} export lines -> {out_path}"
     )
     if not outcome.records:
         print("SMOKE FAILED: workload settled no requests", file=sys.stderr)
         return 1
-    if not worker_spans:
-        print("SMOKE FAILED: no worker spans crossed the process boundary", file=sys.stderr)
+    if not outcome.spans:
+        print("SMOKE FAILED: the traced run recorded no spans", file=sys.stderr)
         return 1
     problems = validate_export(out_path)
     if problems:

@@ -49,12 +49,10 @@ from repro.mapping import (
 )
 from repro.spatialmapper import MapperConfig, SpatialMapper, Step2Strategy
 from repro.runtime import (
-    ProcessRegionExecutor,
     RuntimeResourceManager,
     Scenario,
     StartEvent,
     StopEvent,
-    ThreadedRegionExecutor,
     WorkloadEngine,
     run_scenario,
 )
@@ -108,7 +106,5 @@ __all__ = [
     "StartEvent",
     "StopEvent",
     "WorkloadEngine",
-    "ThreadedRegionExecutor",
-    "ProcessRegionExecutor",
     "run_scenario",
 ]

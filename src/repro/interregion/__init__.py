@@ -10,13 +10,10 @@ stage:
   boundary-link choice) under routing-pressure scoring;
 * :mod:`repro.interregion.planner` — the :class:`InterRegionPlanner`, which
   decomposes a multi-region application into per-region segments plus
-  budgeted boundary hops and commits the composed mapping atomically;
-* :mod:`repro.interregion.coordinator` — the lock-subset protocol: an
-  inter-region admission holds only the touched regions' locks.
+  budgeted boundary hops and commits the composed mapping atomically.
 """
 
 from repro.interregion.budgets import BudgetTransaction, CorridorBudgets
-from repro.interregion.coordinator import InterRegionCoordinator
 from repro.interregion.corridors import Corridor, CorridorHop, CorridorSelector
 from repro.interregion.planner import CorridorScope, InterRegionPlanner
 
@@ -27,6 +24,5 @@ __all__ = [
     "CorridorHop",
     "CorridorSelector",
     "CorridorScope",
-    "InterRegionCoordinator",
     "InterRegionPlanner",
 ]

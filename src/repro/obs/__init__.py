@@ -2,9 +2,8 @@
 
 The admission path's one answer to "where did this request's 40 ms go?":
 
-* :mod:`~repro.obs.trace` — per-request span trees with cross-process
-  propagation (engine dispatch → worker decide → engine fold) and
-  deterministic head-based sampling.
+* :mod:`~repro.obs.trace` — per-request span trees with deterministic
+  head-based sampling.
 * :mod:`~repro.obs.metrics` — counters / gauges / fixed-bucket histograms
   with one associative fold replacing the runtime's bespoke merge paths.
 * :mod:`~repro.obs.export` — versioned JSONL export and its validator.
@@ -20,7 +19,6 @@ from .trace import (
     SpanRecord,
     TraceContext,
     Tracer,
-    reanchor_spans,
 )
 
 __all__ = [
@@ -36,7 +34,6 @@ __all__ = [
     "Tracer",
     "fold_snapshots",
     "read_export",
-    "reanchor_spans",
     "validate_export",
     "write_export",
 ]

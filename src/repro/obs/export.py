@@ -14,9 +14,7 @@ tail-ed; every line carries ``kind`` and ``schema`` fields:
 :func:`validate_export` is the CI smoke's teeth: beyond JSON
 well-formedness it checks referential integrity (every ``parent_id``
 resolves to a span of the same trace), temporal sanity (``end >= start``),
-and containment (every child span nests inside its parent's window —
-which, for worker spans, is only true after re-anchoring, so the check
-also proves the re-anchoring happened).
+and containment (every child span nests inside its parent's window).
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ SCHEMA_VERSION = 1
 #: Slack allowed when checking that a child span nests inside its parent.
 #: Sub-microsecond skew arises legitimately: a stage span's window is
 #: stamped by separate ``perf_counter_ns`` calls from the span that wraps
-#: it, and re-anchored worker spans are clamped to their dispatch window.
+#: it.
 _NEST_SLACK_NS = 1_000
 
 
@@ -158,9 +156,8 @@ def validate_export(path: str) -> list[str]:
     Checks, per line: known ``kind`` and matching ``schema`` version; for
     spans: unique ids, resolvable parents within the same trace,
     ``end >= start``, and child windows nested inside their parent's
-    window (within sub-microsecond stamp slack) — worker spans only pass
-    the nesting check if the engine re-anchored them into their dispatch
-    window.  The meta line's counts must match the body.
+    window (within sub-microsecond stamp slack).  The meta line's counts
+    must match the body.
     """
     problems: list[str] = []
     try:

@@ -1,11 +1,7 @@
 """Process-local metrics with one associative fold.
 
-Before this module the runtime had five bespoke merge paths — lane
-counters, region-lock timings, per-worker traffic stats, worker analysis
-counters, and the governor snapshot — each with its own dict shape and its
-own delta arithmetic scattered through ``engine.py``.  A
-:class:`MetricsRegistry` replaces them with three instrument kinds and a
-single :meth:`~MetricsRegistry.fold`:
+A :class:`MetricsRegistry` holds three instrument kinds and merges
+registries with a single :meth:`~MetricsRegistry.fold`:
 
 * **counters** — monotone sums; fold adds.
 * **gauges** — point-in-time levels; fold takes the max, *not* the last
@@ -13,14 +9,11 @@ single :meth:`~MetricsRegistry.fold`:
 * **histograms** — fixed-bucket latency distributions; fold adds
   bucket-wise and sums ``sum``/``count``.
 
-All three folds are associative and commutative, which is what makes the
-cross-process story trivial: a drain worker keeps its own registry, ships
-``registry.snapshot()`` back in the response frame exactly like
-``worker_stats``, and the engine folds it in — no special-casing per
-metric family, no ordering requirements between workers.
+All three folds are associative and commutative, so snapshots of several
+runs merge in any order with no special-casing per metric family.
 
-Snapshots are plain ``dict``s of primitives: picklable for the worker
-frames, JSON-able for the export file.
+Snapshots are plain ``dict``s of primitives, JSON-able for the export
+file.
 """
 
 from __future__ import annotations
@@ -101,8 +94,9 @@ class Histogram:
 class MetricsRegistry:
     """Counters, gauges and histograms for one process.
 
-    Thread-safe (the threaded executor's lane workers publish
-    concurrently).  Label sets ride inside the metric name —
+    Thread-safe: :meth:`AdmissionQueue.submit
+    <repro.runtime.queue.AdmissionQueue.submit>` counts into the registry
+    from client threads.  Label sets ride inside the metric name —
     ``"engine.lane.admitted[region=r0_0]"`` — keeping snapshots flat
     dicts; :func:`split_name` recovers the labels for reporting.
     """
@@ -151,11 +145,11 @@ class MetricsRegistry:
             }
 
     def fold(self, snapshot: dict[str, dict[str, object]]) -> None:
-        """Merge a foreign snapshot in: the one cross-process merge path.
+        """Merge a foreign snapshot in: the one merge path.
 
         Counter folds add, gauge folds take the max, histogram folds add
-        bucket-wise — all associative and commutative, so worker snapshots
-        may arrive in any order (property-tested).
+        bucket-wise — all associative and commutative, so snapshots may
+        arrive in any order (property-tested).
         """
         counters = snapshot.get("counters", {})
         gauges = snapshot.get("gauges", {})

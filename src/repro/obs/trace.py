@@ -1,15 +1,12 @@
 """Request-scoped tracing for the admission path.
 
-The runtime grew four telemetry islands (lane counters, lock timings,
-worker traffic, analysis counters) that answer *aggregate* questions; none
-of them answers the production question "where did *this* request's 40 ms
-go?".  This module is that answer: a :class:`Tracer` produces per-request
-**span trees** keyed by a stable trace id (workload + ticket), with one
-span per pipeline stage — queue wait, governor check, region selection,
-cache lookup, the four mapper steps (the paper's algorithm is explicitly
-staged, so stage-level spans map 1:1 onto it), commit, inter-region
-planning, and, on the process executor, engine dispatch → worker decide →
-engine fold.
+Lane counters and analysis counters answer *aggregate* questions; neither
+answers "where did *this* request's 40 ms go?".  This module is that
+answer: a :class:`Tracer` produces per-request **span trees** keyed by a
+stable trace id (workload + ticket), with one span per pipeline stage —
+queue wait, governor check, region selection, cache lookup, the four mapper
+steps (the paper's algorithm is explicitly staged, so stage-level spans map
+1:1 onto it), commit and inter-region planning.
 
 Design constraints, in order:
 
@@ -20,15 +17,9 @@ Design constraints, in order:
 * **Near-zero cost when disabled.**  A disabled tracer short-circuits on
   :attr:`Tracer.enabled`; hot call sites guard on it (or on a ``None``
   trace context) before touching any span machinery.
-* **Cross-process.**  A :class:`TraceContext` is plain picklable data; the
-  process executor ships it inside each job spec, workers record spans
-  against their own monotonic clock, and the engine re-anchors the
-  returned spans onto its own timeline (see :func:`reanchor_spans`), so a
-  single tree spans both processes.
 
-Span timestamps are ``time.perf_counter_ns()`` values: monotonic, but with
-a per-process arbitrary epoch — which is exactly why worker spans must be
-re-anchored before they can live in the engine's tree.
+Span timestamps are ``time.perf_counter_ns()`` values of the engine's
+process.
 """
 
 from __future__ import annotations
@@ -45,7 +36,6 @@ __all__ = [
     "TraceContext",
     "Tracer",
     "NULL_TRACER",
-    "reanchor_spans",
 ]
 
 
@@ -60,8 +50,8 @@ class ObsConfig:
         no-op and the engine publishes no spans or metrics.
     sample_rate:
         Head-based sampling probability in ``[0, 1]``.  The sampling
-        decision is a pure hash of ``(seed, trace_id)`` — deterministic,
-        shared by every process of a run, and made once when the request
+        decision is a pure hash of ``(seed, trace_id)`` — deterministic
+        across runs, and made once when the request
         is submitted (children inherit it via the trace context).
     seed:
         Salt of the sampling hash; two runs with equal seeds sample the
@@ -86,9 +76,8 @@ class SpanRecord:
     """One finished span — plain picklable data, the export unit.
 
     ``span_id`` / ``parent_id`` are strings of the form
-    ``"<process>:<counter>"``, unique across the engine and every worker
-    process of a run.  ``start_ns`` / ``end_ns`` are engine-timeline
-    ``perf_counter_ns`` values *after* re-anchoring (worker-local before).
+    ``"<process>:<counter>"``, unique within a run.  ``start_ns`` /
+    ``end_ns`` are ``perf_counter_ns`` values.
     """
 
     trace_id: str
@@ -108,13 +97,11 @@ class SpanRecord:
 
 @dataclass(frozen=True)
 class TraceContext:
-    """The cross-boundary handle of one sampled request's trace.
+    """The handle of one sampled request's trace.
 
-    Plain picklable data: the process executor ships it in each
-    :class:`~repro.runtime.procdrain.JobSpec`, and a worker's spans parent
-    onto :attr:`parent_span_id`.  An unsampled request has no context at
-    all (``None`` travels instead), which is what keeps the disabled /
-    unsampled path allocation-free.
+    Spans recorded under a context parent onto :attr:`parent_span_id`.  An
+    unsampled request has no context at all (``None`` travels instead),
+    which is what keeps the disabled / unsampled path allocation-free.
     """
 
     trace_id: str
@@ -145,11 +132,10 @@ class Span:
 class Tracer:
     """Produces, collects and hands out the spans of one process.
 
-    Thread-safe: the engine's threaded executor runs one lane per worker
-    thread, and all of them record spans through the engine's tracer.
-    Finished spans accumulate in an internal buffer until :meth:`drain`
-    hands them over (the engine drains once per run; a drain worker drains
-    once per lane so each lane result carries exactly its own spans).
+    Thread-safe, like the :class:`~repro.obs.metrics.MetricsRegistry`
+    beside it: the engine thread records while client threads submit,
+    poll and cancel.  Finished spans accumulate in an internal buffer until
+    :meth:`drain` hands them over; the engine drains once per run.
     """
 
     def __init__(self, config: ObsConfig | None = None, *, process: str = "engine") -> None:
@@ -253,12 +239,6 @@ class Tracer:
             self._spans.append(record)
         return record
 
-    def adopt(self, spans: list[SpanRecord] | tuple[SpanRecord, ...]) -> None:
-        """Append foreign (already re-anchored) span records to the buffer."""
-        if spans:
-            with self._lock:
-                self._spans.extend(spans)
-
     def drain(self) -> list[SpanRecord]:
         """Hand over (and clear) every span recorded since the last drain."""
         with self._lock:
@@ -274,43 +254,3 @@ class Tracer:
 #: its :attr:`~Tracer.enabled` being ``False``.
 NULL_TRACER = Tracer(ObsConfig(enabled=False))
 
-
-def reanchor_spans(
-    spans: tuple[SpanRecord, ...] | list[SpanRecord],
-    *,
-    window_start_ns: int,
-    window_end_ns: int,
-) -> list[SpanRecord]:
-    """Shift worker-clock spans onto the engine timeline.
-
-    Worker ``perf_counter_ns`` values share the engine clock's *rate* but
-    not its epoch.  The engine knows the real-time window the worker's
-    work happened in — it stamped ``window_start_ns`` just before sending
-    the dispatch frame and ``window_end_ns`` just after receiving the
-    response — so the whole batch is shifted by one offset that puts its
-    earliest span start at the window start, then clamped into the window
-    (defensive: equal clock rates mean the batch always fits, but a clamp
-    can never produce a span that escapes its dispatch window).  One
-    shared offset preserves every relative distance between worker spans,
-    so nesting and non-overlap survive re-anchoring bit-for-bit.
-    """
-    if not spans:
-        return []
-    offset = window_start_ns - min(span.start_ns for span in spans)
-    anchored: list[SpanRecord] = []
-    for span in spans:
-        start = min(max(span.start_ns + offset, window_start_ns), window_end_ns)
-        end = min(max(span.end_ns + offset, start), window_end_ns)
-        anchored.append(
-            SpanRecord(
-                trace_id=span.trace_id,
-                span_id=span.span_id,
-                parent_id=span.parent_id,
-                name=span.name,
-                process=span.process,
-                start_ns=start,
-                end_ns=end,
-                attrs=span.attrs + (("reanchored", True),),
-            )
-        )
-    return anchored

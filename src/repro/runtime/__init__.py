@@ -29,9 +29,7 @@ from repro.runtime.engine import (
     EngineRecord,
     EngineTelemetry,
     LaneCounters,
-    ProcessRegionExecutor,
     SerialRegionExecutor,
-    ThreadedRegionExecutor,
     WorkloadEngine,
 )
 from repro.runtime.scenario import Scenario, ScenarioOutcome, run_scenario
@@ -58,9 +56,7 @@ __all__ = [
     "EngineTelemetry",
     "LaneCounters",
     "MULTI_REGION_LANE",
-    "ProcessRegionExecutor",
     "SerialRegionExecutor",
-    "ThreadedRegionExecutor",
     "Scenario",
     "ScenarioOutcome",
     "run_scenario",

@@ -1,77 +1,56 @@
-"""The discrete-event workload engine: one event loop, many region workers.
+"""The discrete-event workload engine: one event loop on one thread.
 
 The paper's claim is that run-time spatial mapping is fast enough to make
 admission decisions *online*.  Exercising that claim end to end needs a
-driver that consumes timed arrival/departure events at scale — and, on a
-region-sharded platform, one that actually drains independent regions in
-parallel instead of cooperatively interleaving them.  This module is that
-driver:
+driver that consumes timed arrival/departure events at scale.  This module
+is that driver:
 
 * :class:`WorkloadEngine` — a virtual-clock event loop.  It replays a
   :class:`~repro.runtime.scenario.Scenario` (or anything exposing
   ``sorted_events()`` / ``end_time_ns()``): departures stop running
   applications, arrivals are submitted to an
   :class:`~repro.runtime.queue.AdmissionQueue` (with their priorities and
-  deadlines), and the queue is drained through a pluggable *region
-  executor*.
-* :class:`SerialRegionExecutor` / :class:`ThreadedRegionExecutor` /
-  :class:`ProcessRegionExecutor` — the three drain back-ends.  All follow
-  the same two-phase discipline; the threaded one runs phase 1 with one
-  worker thread per region, each holding its region's lock
-  (:class:`~repro.platform.regions.RegionLocks`) with the
-  :class:`~repro.platform.regions.RegionOwnershipGuard` armed, so the
-  per-thread transaction journals of
-  :class:`~repro.platform.state.PlatformState` provably never interleave on
-  the same keys; the process one ships each lane's region as a picklable
-  snapshot to a worker *process* and folds the returned allocation deltas
-  back on commit (see :mod:`repro.runtime.procdrain`), which is the one
-  back-end the GIL cannot serialize.
+  deadlines), and the queue is drained through a *region executor*.
+* :class:`SerialRegionExecutor` — the drain back-end: region lanes one
+  after another, requests in order within each lane.
 
-The two-phase drain discipline
-------------------------------
+Everything the engine does runs on the thread that calls
+:meth:`WorkloadEngine.run`.  Client threads may still submit, poll and
+cancel through the queue while a run is in progress; the queue arbitrates
+those races under its own lock.
+
+The drain discipline
+--------------------
 
 Each drain claims the ready requests and splits them into **region lanes**,
 a **multi-region lane** and a **global lane**:
 
-1. *Parallel phase* — a request pinned to a single region lane is decided
+1. *Region lanes* — a request pinned to a single region lane is decided
    with the pipeline restricted to exactly that region (``candidates=
    (region,)``): mapping, routing and the transactional commit all stay
-   inside the shard, so lanes commute and any interleaving of workers
-   yields the same decisions as any serial order.
+   inside the shard, so the order lanes run in does not change any
+   decision.
 2. *Multi-region lane* — with an inter-region planner attached, a request
    whose pinned tiles span several regions is planned over budgeted
-   boundary corridors under the coordinator's **lock subset** (only the
-   touched regions' locks), between the parallel phase and the residual
-   global fallback.  A planner rejection falls through to phase 3.
+   boundary corridors, restricted to the regions
+   :meth:`~repro.interregion.planner.InterRegionPlanner.scope_for` names.
+   A planner rejection falls through to phase 3.
 3. *Serial phase* — requests no earlier lane can own (residual global-lane
    requests, duplicate application names, in-region rejections that
    deserve their cross-region fallback, planner rejections) run through
-   the **full** pipeline on the engine's thread, in arrival order, after
-   every worker has joined.
+   the **full** pipeline, in arrival order.
 
 Finalisation (audit trail, running registry, queue settlement, energy
-accounting) always happens on the engine's thread in arrival order, so the
-serial and threaded executors are *decision-identical by construction* —
-the differential tests pin exactly that.
-
-Per-lane telemetry (admissions, rejections, expiries, parked retries) and
-per-region lock wait/hold times are accumulated on the
-:class:`EngineOutcome` (:attr:`EngineOutcome.telemetry`).
+accounting) happens in arrival order after the lanes ran.  Per-lane
+telemetry (admissions, rejections, expiries, parked retries) is
+accumulated on the :class:`EngineOutcome` (:attr:`EngineOutcome.telemetry`).
 """
 
 from __future__ import annotations
 
-import hashlib
-import multiprocessing
-import os
-import threading
 import time
-import weakref
-import zlib
 from dataclasses import dataclass, field
 
-from repro.exceptions import PlatformError
-from repro.interregion.coordinator import InterRegionCoordinator
 from repro.obs import (
     NULL_TRACER,
     MetricsRegistry,
@@ -80,17 +59,8 @@ from repro.obs import (
     SpanRecord,
     TraceContext,
     Tracer,
-    reanchor_spans,
 )
-from repro.platform.regions import (
-    GLOBAL_LANE,
-    Region,
-    RegionLocks,
-    RegionOwnershipGuard,
-    RegionPartition,
-)
-from repro.platform.state import fingerprint_digest
-from repro.runtime import procdrain
+from repro.platform.regions import GLOBAL_LANE, Region
 from repro.runtime.accounting import EnergyAccount
 from repro.runtime.admission_control import GovernorDecision, LoadSheddingGovernor
 from repro.runtime.events import StartEvent, StopEvent
@@ -108,25 +78,23 @@ __all__ = [
     "EngineTelemetry",
     "LaneCounters",
     "MULTI_REGION_LANE",
-    "ProcessRegionExecutor",
     "SerialRegionExecutor",
-    "ThreadedRegionExecutor",
 ]
 
 
 # --------------------------------------------------------------------------- #
-# Region executors
+# Region executor
 # --------------------------------------------------------------------------- #
 @dataclass
 class _RegionJob:
-    """One phase-1 work item: decide a request strictly inside its lane region."""
+    """One region-lane work item: decide a request strictly inside its region."""
 
     request: QueuedRequest
     region: Region
     decision: object | None = None
     error: BaseException | None = None
     #: Trace context of the request's root span (``None`` when unsampled):
-    #: the decide span tree of whichever process runs this job hangs off it.
+    #: the decide span tree hangs off it.
     trace: TraceContext | None = None
 
     def run(self, pipeline: AdmissionPipeline) -> None:
@@ -146,8 +114,8 @@ class _RegionJob:
 class _MultiRegionJob:
     """One multi-region lane work item: plan a spanning request over corridors.
 
-    Runs on the engine's thread between the parallel and serial phases,
-    holding only the lock subset of the regions the plan may touch.
+    Runs between the region lanes and the serial phase, with the planner
+    confined to ``scope``.
     """
 
     request: QueuedRequest
@@ -158,13 +126,12 @@ class _MultiRegionJob:
     #: planner attempt in an ``interregion_plan`` span when set).
     trace: TraceContext | None = None
 
-    def run(self, pipeline: AdmissionPipeline, coordinator: InterRegionCoordinator) -> None:
-        """Plan under the coordinator's lock subset; failures are captured."""
+    def run(self, pipeline: AdmissionPipeline) -> None:
+        """Plan inside the job's region scope; failures are captured."""
         try:
-            with coordinator.admission_lane(self.scope) as locked:
-                self.decision = pipeline.decide_interregion(
-                    self.request.als, self.request.library, scope=locked
-                )
+            self.decision = pipeline.decide_interregion(
+                self.request.als, self.request.library, scope=self.scope
+            )
         except Exception as error:  # surfaced (and re-raised) by the engine
             self.error = error
 
@@ -172,10 +139,9 @@ class _MultiRegionJob:
 class SerialRegionExecutor:
     """Drain lanes one after another on the calling thread.
 
-    The reference discipline: lanes in sorted-name order, requests in order
-    within each lane.  Because phase-1 work is confined to its lane's
-    region, this order is immaterial to the decisions — which is exactly
-    what makes the threaded executor safe to substitute.
+    Lanes run in sorted-name order, requests in order within each lane.
+    Because region-lane work is confined to its lane's region, the lane
+    order does not change any decision.
     """
 
     def execute(
@@ -187,735 +153,6 @@ class SerialRegionExecutor:
                 job.run(pipeline)
                 if job.error is not None:
                     break
-
-
-class ThreadedRegionExecutor:
-    """Drain lanes concurrently: one worker thread per region lane.
-
-    Every worker holds its region's lock for the duration of its lane, and
-    the :class:`~repro.platform.regions.RegionOwnershipGuard` is armed on
-    the platform state while workers are in flight — a mutation outside the
-    mutating thread's region raises instead of corrupting a sibling's
-    journal.  Python threads do not parallelise the pure-Python mapper's
-    CPU work, but the executor proves (and the guard enforces) that the
-    journals, locks and caches are ready for workers that genuinely run
-    concurrently — and the differential tests pin that draining this way is
-    decision-identical to the serial executor.
-    """
-
-    def __init__(
-        self,
-        partition: RegionPartition,
-        *,
-        locks: RegionLocks | None = None,
-        guard: bool = True,
-    ) -> None:
-        self.partition = partition
-        self.locks = locks or RegionLocks(partition)
-        self.guard: RegionOwnershipGuard | None = (
-            RegionOwnershipGuard(partition, self.locks) if guard else None
-        )
-
-    def execute(
-        self, lane_jobs: dict[str, list[_RegionJob]], pipeline: AdmissionPipeline
-    ) -> None:
-        """Run every lane's jobs, one worker per lane, and join them all."""
-        if not lane_jobs:
-            return
-        # The default mapper is created lazily; materialise it before the
-        # workers race on the first admission.
-        pipeline.mapper_for(None)
-        state = pipeline.state
-        previous_guard = state.ownership_guard
-        state.ownership_guard = self.guard
-        try:
-            threads = [
-                threading.Thread(
-                    target=self._run_lane,
-                    args=(lane, lane_jobs[lane], pipeline),
-                    name=f"region-worker-{lane}",
-                    daemon=True,
-                )
-                for lane in sorted(lane_jobs)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        finally:
-            state.ownership_guard = previous_guard
-
-    def _run_lane(
-        self, lane: str, jobs: list[_RegionJob], pipeline: AdmissionPipeline
-    ) -> None:
-        """One worker: hold the lane's region lock, decide its jobs in order."""
-        with self.locks.region_lane(lane):
-            for job in jobs:
-                job.run(pipeline)
-                if job.error is not None:
-                    break
-
-
-class _DrainWorker:
-    """Engine-side handle of one drain worker process (pipe + stats label)."""
-
-    def __init__(self, index: int, context, settings_blob: bytes) -> None:
-        self.name = f"region-drain-{index}"
-        self.conn, child = context.Pipe()
-        self.process = context.Process(
-            target=procdrain.drain_worker,
-            args=(child, settings_blob),
-            name=self.name,
-            daemon=True,
-        )
-        self.process.start()
-        child.close()
-
-    def stop(self, timeout_s: float = 5.0) -> None:
-        """Ask the worker to exit; escalate to terminate if it will not."""
-        try:
-            self.conn.send_bytes(procdrain.SHUTDOWN_FRAME)
-        except (OSError, ValueError, BrokenPipeError):
-            pass
-        try:
-            self.conn.close()
-        except OSError:
-            pass
-        self.process.join(timeout=timeout_s)
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join(timeout=1.0)
-
-
-def _stop_workers(pool: list) -> None:
-    """Module-level so a ``weakref.finalize`` can call it without resurrecting
-    the executor."""
-    for worker in pool:
-        worker.stop()
-
-
-class ProcessRegionExecutor:
-    """Drain region lanes across *stateful* worker processes: snapshot once,
-    deltas forever.
-
-    The GIL-free counterpart of :class:`ThreadedRegionExecutor`.  Workers
-    (:mod:`repro.runtime.procdrain`) keep the region-local state they last
-    rebuilt **resident between drains**, so each drain the engine ships one
-    of two per-lane frames:
-
-    * a full :class:`~repro.platform.state.RegionSnapshot`
-      (``SnapshotDispatch``) — the bootstrap and the explicit fallback;
-    * a :class:`~repro.runtime.procdrain.DeltaDispatch` — the ordered
-      :class:`~repro.platform.state.RegionDeltaOp` chain committed on the
-      region since the worker's last acknowledged (seq, fingerprint-digest)
-      watermark, read from the engine state's per-region
-      :class:`~repro.platform.state.RegionJournal`.
-
-    The delta path is taken exactly when the watermark bridges to the
-    journal tip *and* the journal tip still matches the live region
-    fingerprint; every full dispatch is **counted under its reason**
-    (``full_bootstrap``, ``full_watermark_gap``, ``full_journal_stale``,
-    ``full_resync``, ``full_disabled``) — there is no silent fallback.  A
-    worker that cannot honour a delta (lost resident, base mismatch,
-    broken chain) answers *resync* and is re-sent a counted full snapshot
-    in a second pass before anything is folded.  All lanes routed to one
-    worker travel batched in a single ``send_bytes`` round-trip
-    (:class:`~repro.runtime.procdrain.WorkerDispatch`), with per-lane
-    frames nested as their own pickle blobs for exact byte metering.
-
-    The worker runs the ordinary ``decide(candidates=(region,))`` pipeline
-    against its resident state and ships back, per admitted job, a
-    serialized :class:`~repro.platform.state.AllocationDelta` (exactly the
-    commit's journal records).  The engine process then *folds* each delta
-    under the lane's region lock inside a region-scoped transaction — the
-    existing transaction discipline — with the ownership guard armed.
-
-    Stale decisions are handled explicitly, never silently committed:
-    every worker response carries the digest of the region fingerprint its decision was
-    based on, and the fold applies a delta only while the engine-side
-    fingerprint still matches (within a lane the fingerprints chain across
-    the lane's local commits, so a matching base proves the worker saw
-    exactly the state the fold is about to mutate).  On a mismatch — or a
-    delta the current state rejects — the job is re-decided on the engine
-    process through the same region-restricted pipeline, and the worker's
-    watermark is dropped (its resident diverged).  Finalisation stays on
-    the engine thread in arrival order, so sheds and cancels settle
-    exactly once, and decisions are identical to the serial executor's
-    (the differential suites pin this across all three executors).
-
-    Lanes are assigned to workers by a stable hash of the lane name, so a
-    region's dispatches keep hitting the same worker and its resident
-    state and region-scoped mapper-cache warmth accumulate.  ALS/library
-    payloads are digested once on the engine side and shipped to each
-    worker at most once per intern window (steady-state job specs carry
-    digests only).  Workers are started lazily on the first drain (the
-    pipeline is only known then), reused across drains and runs, and torn
-    down by :meth:`close` (or the garbage collector / daemon flag as
-    backstops).  Requires the pipeline's default mapper factory — a custom
-    factory cannot cross the process boundary.
-
-    Per-worker executor stats accumulate for the executor's lifetime; the
-    engine reports per-run deltas in :attr:`EngineTelemetry.workers`:
-    ``dispatches``/``requests``, ``delta_dispatches`` vs
-    ``full_dispatches`` (with the per-reason fallback counters),
-    ``snapshot_bytes`` (full-dispatch frames out),
-    ``delta_dispatch_bytes`` (delta frames out), ``delta_bytes`` (worker
-    deltas in), ``dispatch_bytes_saved`` (estimated: last full frame of
-    the lane minus the delta frame that replaced it), plus
-    ``stale_redecides`` and ``worker_wall_s``.
-
-    ``delta_dispatch=False`` pins the executor to the PR 6 full-snapshot
-    protocol (every dispatch counted ``full_disabled``) — the comparison
-    baseline of the dispatch-bytes benchmark.  ``journal_capacity`` bounds
-    each region's op window; a worker idle longer than the window falls
-    back to one counted full snapshot.
-    """
-
-    def __init__(
-        self,
-        partition: RegionPartition,
-        *,
-        workers: int | None = None,
-        locks: RegionLocks | None = None,
-        guard: bool = True,
-        start_method: str | None = None,
-        delta_dispatch: bool = True,
-        journal_capacity: int = 512,
-    ) -> None:
-        self.partition = partition
-        self.locks = locks or RegionLocks(partition)
-        self.guard: RegionOwnershipGuard | None = (
-            RegionOwnershipGuard(partition, self.locks) if guard else None
-        )
-        self.workers = max(
-            1,
-            workers
-            if workers is not None
-            else min(len(partition), os.cpu_count() or 1),
-        )
-        if start_method is None:
-            start_method = (
-                "fork"
-                if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn"
-            )
-        #: The multiprocessing start method workers are launched with
-        #: (``"fork"`` where available, else ``"spawn"``) — recorded by the
-        #: benchmarks so artifacts state which protocol path they measured.
-        self.start_method = start_method
-        self.delta_dispatch = delta_dispatch
-        self.journal_capacity = journal_capacity
-        self._context = multiprocessing.get_context(start_method)
-        self._pool: list[_DrainWorker] | None = None
-        self._finalizer: weakref.finalize | None = None
-        self._stats: dict[str, dict[str, float]] = {}
-        #: (worker name, lane) -> (journal seq, fingerprint digest) the
-        #: resident state was last acknowledged at.  Dropped whenever a
-        #: lane's fold was not clean, and wholesale on pool teardown.
-        self._watermarks: dict[tuple[str, str], tuple[int, bytes]] = {}
-        #: Per-worker digests already shipped (the engine-side half of the
-        #: worker intern table; cleared in lockstep via ``clear_interned``).
-        self._sent_digests: dict[str, set[bytes]] = {}
-        #: id(payload object) -> (pinned object, digest, blob): pickling
-        #: and hashing happen once per live ALS/library object, not per
-        #: dispatch.  Pinning the object keeps the id stable.
-        self._payloads: dict[int, tuple[object, bytes, bytes]] = {}
-        #: Last full-dispatch frame size per lane — the honest baseline the
-        #: ``dispatch_bytes_saved`` estimate is computed against.
-        self._last_full_bytes: dict[str, int] = {}
-        #: Lifetime totals of worker-side step-4 analysis counters (each
-        #: lane result ships its per-lane delta); the engine reports per-run
-        #: deltas, exactly like :meth:`worker_stats`.
-        self._analysis_totals: dict[str, int] = {}
-        #: ticket -> open engine-side ``dispatch`` span of the current round.
-        self._dispatch_spans: dict[int, Span] = {}
-        #: The tracer of the pipeline currently draining (installed by
-        #: :meth:`execute`; dispatch frames and folds record spans on it).
-        self._tracer: Tracer = NULL_TRACER
-
-    # -- worker pool lifecycle ------------------------------------------- #
-    def _ensure_pool(self, pipeline: AdmissionPipeline) -> list[_DrainWorker]:
-        """Start the worker pool on first use (the pipeline defines the world)."""
-        if self._pool is not None:
-            return self._pool
-        if not pipeline._uses_default_factory:
-            raise PlatformError(
-                "ProcessRegionExecutor requires the pipeline's default mapper "
-                "factory: a custom factory cannot cross the process boundary"
-            )
-        scorer = pipeline.region_scorer
-        settings = procdrain.WorkerSettings(
-            platform=pipeline.platform,
-            partition=pipeline.partition,
-            library=pipeline.library,
-            config=pipeline.config,
-            require_feasible=pipeline.require_feasible,
-            cache_size=pipeline.cache.maxsize if pipeline.cache is not None else 0,
-            scorer_policy=scorer.policy if scorer is not None else None,
-            scorer_has_feedback=scorer is not None and scorer.feedback is not None,
-            obs=pipeline.tracer.config if pipeline.tracer.enabled else None,
-        )
-        settings_blob = procdrain.dump_frame(settings)
-        # A fresh pool has empty intern tables, and unlike stale watermarks
-        # (which the resync protocol detects and repairs), a stale shipped-
-        # digest window has no self-validating fallback — a blob withheld
-        # from a worker that never saw it is a protocol error.  Drop it here
-        # rather than only in close(), so any restart path is safe.
-        self._sent_digests.clear()
-        pool = [
-            _DrainWorker(index, self._context, settings_blob)
-            for index in range(self.workers)
-        ]
-        self._pool = pool
-        self._finalizer = weakref.finalize(self, _stop_workers, pool)
-        return pool
-
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent; a fresh pool starts on reuse).
-
-        Worker resident states and intern tables die with the processes, so
-        the engine-side watermarks and shipped-digest windows are dropped
-        with them — a fresh pool bootstraps every lane with a counted full
-        snapshot.
-        """
-        self._pool = None
-        self._watermarks.clear()
-        self._sent_digests.clear()
-        if self._finalizer is not None:
-            self._finalizer()
-            self._finalizer = None
-
-    def __enter__(self) -> "ProcessRegionExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def worker_stats(self) -> dict[str, dict[str, float]]:
-        """Cumulative per-worker executor stats (copied; engine takes deltas)."""
-        return {name: dict(values) for name, values in self._stats.items()}
-
-    def worker_analysis(self) -> dict[str, int]:
-        """Cumulative worker-side analysis counters (copied; engine takes deltas)."""
-        return dict(self._analysis_totals)
-
-    def publish_metrics(
-        self, registry: MetricsRegistry, stats: dict[str, dict[str, float]] | None = None
-    ) -> None:
-        """Publish per-worker executor stats (default: lifetime totals) as counters."""
-        for worker, values in (stats if stats is not None else self.worker_stats()).items():
-            for key, value in values.items():
-                registry.count(f"executor.{key}[worker={worker}]", float(value))
-
-    def _stats_for(self, worker_name: str) -> dict[str, float]:
-        return self._stats.setdefault(
-            worker_name,
-            {
-                "dispatches": 0,
-                "requests": 0,
-                "snapshot_bytes": 0,
-                "delta_dispatch_bytes": 0,
-                "delta_bytes": 0,
-                "delta_dispatches": 0,
-                "full_dispatches": 0,
-                "full_bootstrap": 0,
-                "full_disabled": 0,
-                "full_journal_stale": 0,
-                "full_watermark_gap": 0,
-                "full_resync": 0,
-                "dispatch_bytes_saved": 0,
-                "stale_redecides": 0,
-                "worker_wall_s": 0.0,
-            },
-        )
-
-    def _worker_for(self, pool: list[_DrainWorker], lane: str) -> _DrainWorker:
-        """Stable lane-to-worker assignment (cache warmth over balance)."""
-        return pool[zlib.crc32(lane.encode("utf-8")) % len(pool)]
-
-    # -- dispatch assembly ---------------------------------------------- #
-    def _payload_for(self, payload: object) -> tuple[bytes, bytes]:
-        """(digest, blob) of one ALS/library object, pickled and hashed once.
-
-        Keyed by object identity with the object pinned in the cache entry,
-        so a request re-dispatched across drains (parked retries) reuses
-        the digest without re-pickling — and the digest stays stable for
-        the worker's identity-interning.
-        """
-        entry = self._payloads.get(id(payload))
-        if entry is None or entry[0] is not payload:
-            if len(self._payloads) >= procdrain.INTERN_LIMIT:
-                self._payloads.clear()
-            blob = procdrain.dump_frame(payload)
-            digest = hashlib.sha1(blob).digest()
-            self._payloads[id(payload)] = (payload, digest, blob)
-            return digest, blob
-        return entry[1], entry[2]
-
-    def _job_specs(
-        self, jobs: list[_RegionJob], sent: set[bytes]
-    ) -> tuple[procdrain.JobSpec, ...]:
-        """The lane's job specs, shipping each payload blob at most once per
-        worker intern window (``sent`` is that worker's shipped-digest set)."""
-        specs = []
-        tracer = self._tracer
-        for job in jobs:
-            als_digest, als_blob = self._payload_for(job.request.als)
-            if als_digest in sent:
-                als_blob = None
-            else:
-                sent.add(als_digest)
-            library_digest = library_blob = None
-            if job.request.library is not None:
-                library_digest, library_blob = self._payload_for(job.request.library)
-                if library_digest in sent:
-                    library_blob = None
-                else:
-                    sent.add(library_digest)
-            trace = None
-            if tracer.enabled and job.trace is not None:
-                # One dispatch span per job, open until the worker's answer
-                # frame lands: the worker's decide tree parents onto it, and
-                # its window is the re-anchoring target for worker spans.
-                span = tracer.start(
-                    "dispatch", job.trace, attrs={"lane": job.request.lane}
-                )
-                self._dispatch_spans[job.request.ticket] = span
-                trace = job.trace.child(span.span_id)
-            specs.append(
-                procdrain.JobSpec(
-                    ticket=job.request.ticket,
-                    als_digest=als_digest,
-                    als_blob=als_blob,
-                    library_digest=library_digest,
-                    library_blob=library_blob,
-                    trace=trace,
-                )
-            )
-        return tuple(specs)
-
-    def _assemble_lane(
-        self,
-        lane: str,
-        jobs: list[_RegionJob],
-        worker: _DrainWorker,
-        pipeline: AdmissionPipeline,
-        sent: set[bytes],
-        force_full: str | None = None,
-    ) -> bytes:
-        """Build one lane's dispatch frame: delta when bridgeable, else a
-        full snapshot counted under its reason (never silent)."""
-        state = pipeline.state
-        region = jobs[0].region
-        journal = state.region_journal(region, self.journal_capacity)
-        live = fingerprint_digest(region.fingerprint(state))
-        key = (worker.name, lane)
-        reason = force_full
-        mark = None
-        ops: tuple | None = None
-        if reason is None and journal.tip_fingerprint != live:
-            # An un-journaled mutation bypassed the commit/release hooks
-            # (e.g. a batch rollback): rebase the chain and resync the
-            # worker from a snapshot.
-            journal.reset(live)
-            reason = "journal_stale"
-        if reason is None and not self.delta_dispatch:
-            reason = "disabled"
-        if reason is None:
-            mark = self._watermarks.get(key)
-            if mark is None:
-                reason = "bootstrap"
-            else:
-                ops = journal.ops_since(*mark)
-                if ops is None:
-                    reason = "watermark_gap"
-        specs = self._job_specs(jobs, sent)
-        stats = self._stats_for(worker.name)
-        stats["dispatches"] += 1
-        stats["requests"] += len(jobs)
-        if reason is None:
-            frame = procdrain.dump_frame(
-                procdrain.DeltaDispatch(
-                    lane=lane,
-                    base_seq=mark[0],
-                    base_fingerprint=mark[1],
-                    ops=ops,
-                    jobs=specs,
-                )
-            )
-            stats["delta_dispatches"] += 1
-            stats["delta_dispatch_bytes"] += len(frame)
-            stats["dispatch_bytes_saved"] += max(
-                0, self._last_full_bytes.get(lane, 0) - len(frame)
-            )
-        else:
-            self._watermarks.pop(key, None)
-            frame = procdrain.dump_frame(
-                procdrain.SnapshotDispatch(
-                    lane=lane, snapshot=state.snapshot_scope(region), jobs=specs
-                )
-            )
-            stats["full_dispatches"] += 1
-            stats[f"full_{reason}"] += 1
-            stats["snapshot_bytes"] += len(frame)
-            self._last_full_bytes[lane] = len(frame)
-        return frame
-
-    def _dispatch_round(
-        self,
-        lanes_by_worker: dict[str, list[str]],
-        workers_by_name: dict[str, _DrainWorker],
-        lane_jobs: dict[str, list[_RegionJob]],
-        pipeline: AdmissionPipeline,
-        force_full: str | None = None,
-    ) -> dict[str, procdrain.LaneResult]:
-        """One batched send/receive round: every worker gets at most one
-        frame holding all its lanes; answers map back by lane name.
-
-        The engine stamps each worker's send/receive window; returned
-        worker-clock spans are re-anchored into it and adopted, worker
-        analysis-counter deltas accumulate on the executor, and worker
-        metrics snapshots fold into the engine's run registry — one fold,
-        same as every other delta.
-        """
-        tracer = self._tracer
-        send_ns: dict[str, int] = {}
-        for worker_name, lanes in lanes_by_worker.items():
-            worker = workers_by_name[worker_name]
-            sent = self._sent_digests.setdefault(worker_name, set())
-            clear_interned = False
-            if len(sent) >= procdrain.INTERN_LIMIT:
-                # Engine-driven eviction, at a frame boundary: wipe both
-                # halves of the intern bookkeeping together so a digest-only
-                # spec can never reference an object the worker dropped.
-                sent.clear()
-                clear_interned = True
-            frames = tuple(
-                self._assemble_lane(
-                    lane, lane_jobs[lane], worker, pipeline, sent, force_full
-                )
-                for lane in lanes
-            )
-            send_ns[worker_name] = time.perf_counter_ns()
-            worker.conn.send_bytes(
-                procdrain.dump_frame(
-                    procdrain.WorkerDispatch(frames=frames, clear_interned=clear_interned)
-                )
-            )
-        results: dict[str, procdrain.LaneResult] = {}
-        for worker_name in lanes_by_worker:
-            worker_results = procdrain.load_frame(
-                workers_by_name[worker_name].conn.recv_bytes()
-            )
-            recv_ns = time.perf_counter_ns()
-            for result in worker_results:
-                results[result.lane] = result
-                if result.analysis:
-                    for key, value in result.analysis.items():
-                        self._analysis_totals[key] = (
-                            self._analysis_totals.get(key, 0) + value
-                        )
-                if pipeline.metrics is not None and result.metrics is not None:
-                    pipeline.metrics.fold(result.metrics)
-                if result.spans and tracer.enabled:
-                    tracer.adopt(
-                        reanchor_spans(
-                            result.spans,
-                            window_start_ns=send_ns[worker_name],
-                            window_end_ns=recv_ns,
-                        )
-                    )
-                for response in result.responses:
-                    span = self._dispatch_spans.pop(response.ticket, None)
-                    if span is not None:
-                        tracer.end(span, end_ns=recv_ns)
-        return results
-
-    # -- the drain ------------------------------------------------------- #
-    def execute(
-        self, lane_jobs: dict[str, list[_RegionJob]], pipeline: AdmissionPipeline
-    ) -> None:
-        """Dispatch every lane to its worker, then fold the results in order."""
-        if not lane_jobs:
-            return
-        # Engine-side re-decides (stale snapshots) use the engine pipeline's
-        # mapper; materialise it outside the fold loop.
-        pipeline.mapper_for(None)
-        self._tracer = pipeline.tracer
-        self._dispatch_spans.clear()
-        pool = self._ensure_pool(pipeline)
-        state = pipeline.state
-        lanes = sorted(lane_jobs)
-        dispatched: dict[str, _DrainWorker] = {}
-        lanes_by_worker: dict[str, list[str]] = {}
-        workers_by_name: dict[str, _DrainWorker] = {}
-        for lane in lanes:
-            worker = self._worker_for(pool, lane)
-            dispatched[lane] = worker
-            lanes_by_worker.setdefault(worker.name, []).append(lane)
-            workers_by_name[worker.name] = worker
-        results = self._dispatch_round(
-            lanes_by_worker, workers_by_name, lane_jobs, pipeline
-        )
-        # A worker that could not honour a delta dispatch (lost resident,
-        # base mismatch, broken chain) decided nothing: re-dispatch those
-        # lanes as full snapshots — counted, and resolved before any fold.
-        resync = {
-            lane: result.resync
-            for lane, result in results.items()
-            if result.resync is not None
-        }
-        if resync:
-            retry_by_worker: dict[str, list[str]] = {}
-            for lane in sorted(resync):
-                retry_by_worker.setdefault(dispatched[lane].name, []).append(lane)
-            results.update(
-                self._dispatch_round(
-                    retry_by_worker,
-                    workers_by_name,
-                    lane_jobs,
-                    pipeline,
-                    force_full="resync",
-                )
-            )
-        # Fold on commit, lane by lane in the serial executor's order, under
-        # each lane's region lock with the ownership guard armed.
-        previous_guard = state.ownership_guard
-        state.ownership_guard = self.guard
-        try:
-            for lane in lanes:
-                self._fold_lane(
-                    lane,
-                    lane_jobs[lane],
-                    results[lane],
-                    pipeline,
-                    self._stats_for(dispatched[lane].name),
-                    worker_name=dispatched[lane].name,
-                )
-        finally:
-            state.ownership_guard = previous_guard
-
-    def _fold_lane(
-        self,
-        lane: str,
-        jobs: list[_RegionJob],
-        result: procdrain.LaneResult,
-        pipeline: AdmissionPipeline,
-        stats: dict[str, float],
-        worker_name: str | None = None,
-    ) -> None:
-        """Fold one lane's worker responses into the engine state.
-
-        Per job: check the response's base fingerprint against the live
-        region fingerprint; apply the delta in a region-scoped transaction
-        on a match, re-decide on the engine process otherwise.  Worker
-        errors surface on the job (the engine unwinds and re-raises), and a
-        lane a worker aborted early leaves its remaining jobs undecided —
-        exactly the serial lane-abort discipline.
-
-        A lane folded *clean* — every job answered, no error, no engine-side
-        re-decide — advances the worker's delta watermark to the journal
-        tip (which then equals the worker's acknowledged final
-        fingerprint); anything else drops the watermark, forcing a counted
-        full snapshot next dispatch.
-        """
-        state = pipeline.state
-        region = jobs[0].region
-        tracer = self._tracer
-        responses = {response.ticket: response for response in result.responses}
-        clean = result.resync is None
-        with self.locks.region_lane(lane):
-            for job in jobs:
-                fold_start_ns = (
-                    time.perf_counter_ns()
-                    if tracer.enabled and job.trace is not None
-                    else 0
-                )
-                response = responses.get(job.request.ticket)
-                if response is None:
-                    clean = False
-                    break  # worker aborted the lane on an earlier error
-                stats["worker_wall_s"] += response.wall_s
-                # The worker's mapper ran for real; keep the engine-wide
-                # invocation accounting honest across executors.
-                pipeline.mapper_invocations += response.mapper_invocations
-                if response.error is not None:
-                    clean = False
-                    job.error = PlatformError(
-                        f"region drain worker failed in lane {lane!r}:\n"
-                        f"{response.error}"
-                    )
-                    break
-                if fingerprint_digest(region.fingerprint(state)) != response.base_fingerprint:
-                    clean = False
-                    stats["stale_redecides"] += 1
-                    job.run(pipeline)
-                    if job.error is not None:
-                        break
-                    continue
-                decision = procdrain.load_frame(response.decision_blob)
-                if decision.admitted:
-                    delta = procdrain.load_frame(response.delta_blob)
-                    stats["delta_bytes"] += len(response.delta_blob)
-                    try:
-                        with state.transaction(region):
-                            state.apply_delta(delta)
-                    except PlatformError:
-                        # The fingerprint matched but the delta no longer
-                        # fits (aggregates can collide across histories);
-                        # the transaction rolled everything back — re-decide
-                        # against the live state instead of committing.
-                        clean = False
-                        stats["stale_redecides"] += 1
-                        job.run(pipeline)
-                        if job.error is not None:
-                            break
-                        continue
-                    pipeline.record_commit(
-                        decision.application, decision.result.mapping
-                    )
-                if fold_start_ns:
-                    tracer.record(
-                        "engine_fold",
-                        job.trace,
-                        fold_start_ns,
-                        time.perf_counter_ns(),
-                        attrs={"lane": lane, "folded": decision.admitted},
-                    )
-                job.decision = decision
-            if worker_name is not None:
-                self._advance_watermark(
-                    worker_name, lane, region, result, clean, state
-                )
-
-    def _advance_watermark(
-        self,
-        worker_name: str,
-        lane: str,
-        region: Region,
-        result: procdrain.LaneResult,
-        clean: bool,
-        state,
-    ) -> None:
-        """Record (or drop) one worker's post-fold delta watermark.
-
-        After a clean fold the engine journal's tip covers exactly the
-        lane's folded commits, so it must fingerprint-match the worker's
-        acknowledged resident state; if it does not (defensive — an
-        invariant breach, not an expected path), the watermark is dropped
-        and the next dispatch bootstraps from a counted snapshot.
-        """
-        key = (worker_name, lane)
-        journal = state.region_journals.get(region.name)
-        if (
-            clean
-            and journal is not None
-            and result.final_fingerprint is not None
-            and journal.tip_fingerprint == result.final_fingerprint
-        ):
-            self._watermarks[key] = (journal.tip_seq, result.final_fingerprint)
-        else:
-            self._watermarks.pop(key, None)
 
 
 # --------------------------------------------------------------------------- #
@@ -942,34 +179,22 @@ class EngineTelemetry:
     """Observability counters of one engine run.
 
     ``lanes`` is keyed by the lane that *settled* the request: a region
-    name for phase-1 admissions, :data:`MULTI_REGION_LANE` for the
+    name for region-lane admissions, :data:`MULTI_REGION_LANE` for the
     inter-region planner lane, :data:`~repro.platform.regions.GLOBAL_LANE`
     for the serial phase.  Parked retries count against the request's home
-    lane.  ``lock_wait_s`` / ``lock_hold_s`` aggregate the per-region lock
-    times of every lane (region workers, lock subsets, global lane).
+    lane.
     """
 
     lanes: dict[str, LaneCounters] = field(default_factory=dict)
-    lock_wait_s: dict[str, float] = field(default_factory=dict)
-    lock_hold_s: dict[str, float] = field(default_factory=dict)
-    lock_acquisitions: dict[str, int] = field(default_factory=dict)
     #: Final :meth:`LoadSheddingGovernor.snapshot` of the run's governor
     #: (``None`` when the engine ran without one).
     governor: dict | None = None
-    #: Per-worker executor stats of this run (empty for executors without
-    #: workers): lane dispatches, requests decided, snapshot/delta bytes
-    #: shipped across the process boundary, stale-snapshot re-decides and
-    #: in-worker wall-clock, keyed by worker name.
-    workers: dict[str, dict[str, float]] = field(default_factory=dict)
     #: Step-4 analysis work of this run: ``simulations_run`` /
     #: ``simulated_events`` (real simulations only), ``cache_hits`` (verdicts
     #: replayed without simulating) and ``budget_exhausted`` (minimisations
     #: degraded to sufficient capacities), as the delta of the engine-side
     #: pipeline's :class:`~repro.csdf.analysis.budget.AnalysisEngine`
-    #: counters around the run.  Process workers run their own pipelines;
-    #: their per-lane counter deltas travel back in each
-    #: :class:`~repro.runtime.procdrain.LaneResult` and are folded in here,
-    #: so the totals agree with the serial executor's (caches aside).
+    #: counters around the run.
     analysis: dict[str, int] = field(default_factory=dict)
 
     def lane(self, name: str) -> LaneCounters:
@@ -989,22 +214,6 @@ class EngineTelemetry:
             counters.cancelled += 1
         elif status is RequestStatus.SHED:
             counters.shed += 1
-
-    def merge_lock_stats(self, stats: dict[str, dict[str, float]]) -> None:
-        """Fold one :meth:`RegionLocks.stats` snapshot into the totals."""
-        for region, values in stats.items():
-            self.lock_wait_s[region] = self.lock_wait_s.get(region, 0.0) + values["wait_s"]
-            self.lock_hold_s[region] = self.lock_hold_s.get(region, 0.0) + values["hold_s"]
-            self.lock_acquisitions[region] = self.lock_acquisitions.get(region, 0) + int(
-                values["acquisitions"]
-            )
-
-    def merge_worker_stats(self, stats: dict[str, dict[str, float]]) -> None:
-        """Fold one :meth:`ProcessRegionExecutor.worker_stats` delta into the totals."""
-        for worker, values in stats.items():
-            totals = self.workers.setdefault(worker, {})
-            for key, value in values.items():
-                totals[key] = totals.get(key, 0) + value
 
 
 @dataclass(frozen=True)
@@ -1042,8 +251,8 @@ class EngineOutcome:
     mapping_runtime_s: float = 0.0
     parked_retries_skipped: int = 0
     telemetry: EngineTelemetry = field(default_factory=EngineTelemetry)
-    #: Every span the run's tracer recorded (engine spans plus re-anchored
-    #: worker spans), in buffer order; empty with observability off.
+    #: Every span the run's tracer recorded, in buffer order; empty with
+    #: observability off.
     spans: list[SpanRecord] = field(default_factory=list)
     #: Snapshot of the run's folded :class:`~repro.obs.metrics.MetricsRegistry`
     #: (``None`` with observability or metrics off).
@@ -1145,11 +354,11 @@ class WorkloadEngine:
         Optional pre-configured :class:`AdmissionQueue`; a fresh one is
         created when omitted (``park_rejections`` is forwarded to it).
     executor:
-        Phase-1 drain back-end; defaults to :class:`SerialRegionExecutor`.
+        Region-lane drain back-end; defaults to :class:`SerialRegionExecutor`.
     drain_mode:
         ``"batched"`` (default): all events at one timestamp are treated as
         concurrent — departures execute first, arrivals are enqueued, then
-        one drain runs, giving region lanes real batches to parallelise.
+        one drain runs over all of them.
         ``"immediate"``: the queue is drained after every single arrival,
         reproducing the legacy scenario player's strict one-event-at-a-time
         semantics (this is what :func:`~repro.runtime.scenario.run_scenario`
@@ -1169,7 +378,7 @@ class WorkloadEngine:
     obs:
         Optional :class:`~repro.obs.trace.ObsConfig`.  When enabled, the
         engine owns a :class:`~repro.obs.trace.Tracer` (installed on the
-        manager's pipeline, shipped to drain workers) producing per-request
+        manager's pipeline) producing per-request
         span trees keyed by ``"<workload>:<ticket>"``, and a per-run
         :class:`~repro.obs.metrics.MetricsRegistry` every component
         publishes into.  Both land on the outcome
@@ -1183,10 +392,7 @@ class WorkloadEngine:
         manager: RuntimeResourceManager,
         *,
         queue: AdmissionQueue | None = None,
-        executor: SerialRegionExecutor
-        | ThreadedRegionExecutor
-        | ProcessRegionExecutor
-        | None = None,
+        executor: SerialRegionExecutor | None = None,
         drain_mode: str = "batched",
         park_rejections: bool = False,
         governor: LoadSheddingGovernor | None = None,
@@ -1214,10 +420,6 @@ class WorkloadEngine:
         #: request is claimed repeatedly; only its first wait is the wait).
         self._queue_waited: set[int] = set()
         self._workload_name = "workload"
-        #: Lock-subset coordinator of the multi-region lane, created on
-        #: first use.  It shares the threaded executor's locks (so the
-        #: subset exclusion is real) or gets a private set otherwise.
-        self._coordinator: InterRegionCoordinator | None = None
 
     # ------------------------------------------------------------------ #
     def run(self, workload) -> EngineOutcome:
@@ -1229,10 +431,7 @@ class WorkloadEngine:
         by :mod:`repro.workloads.arrivals`).
         """
         started = time.perf_counter()
-        lock_baseline = self._lock_stats_snapshot()
-        worker_baseline = self._worker_stats_snapshot()
         analysis_baseline = self._analysis_snapshot()
-        worker_analysis_baseline = self._worker_analysis_snapshot()
         outcome = EngineOutcome(workload=getattr(workload, "name", "workload"))
         self._workload_name = outcome.workload
         obs = self.obs
@@ -1288,11 +487,7 @@ class WorkloadEngine:
         outcome.end_time_ns = end_time_ns
         outcome.energy.finish(end_time_ns)
         outcome.wall_clock_s = time.perf_counter() - started
-        self._collect_lock_stats(outcome, lock_baseline)
-        self._collect_worker_stats(outcome, worker_baseline)
-        self._collect_analysis_stats(
-            outcome, analysis_baseline, worker_analysis_baseline
-        )
+        self._collect_analysis_stats(outcome, analysis_baseline)
         if self.governor is not None:
             outcome.telemetry.governor = self.governor.snapshot()
         metrics = self.metrics
@@ -1311,11 +506,9 @@ class WorkloadEngine:
     ) -> None:
         """Publish the run's telemetry deltas into the metrics registry.
 
-        One fold path: the engine publishes its lane counters itself, and
-        every other component (locks, analysis, governor, process executor)
-        publishes through its own ``publish_metrics`` — all into the same
-        registry the queue and pipeline counted into live, and the same
-        registry worker snapshots folded into at dispatch time.
+        The engine publishes its lane counters itself; the analysis engine
+        and the governor publish through their own ``publish_metrics`` — all
+        into the same registry the queue and pipeline counted into live.
         """
         telemetry = outcome.telemetry
         for lane, counters in sorted(telemetry.lanes.items()):
@@ -1325,129 +518,30 @@ class WorkloadEngine:
                     metrics.count(
                         f"engine.settled[lane={lane},status={status}]", float(value)
                     )
-        for source in self._lock_sources():
-            lock_delta = {
-                region: {
-                    "wait_s": telemetry.lock_wait_s.get(region, 0.0),
-                    "hold_s": telemetry.lock_hold_s.get(region, 0.0),
-                    "acquisitions": telemetry.lock_acquisitions.get(region, 0),
-                }
-                for region in telemetry.lock_wait_s
-            }
-            source.publish_metrics(metrics, lock_delta)
-            break  # the telemetry deltas are already merged across sources
         analysis = getattr(self.manager.pipeline, "analysis", None)
         if analysis is not None and telemetry.analysis:
             analysis.publish_metrics(metrics, telemetry.analysis)
         if self.governor is not None:
             self.governor.publish_metrics(metrics)
-        publish = getattr(self.executor, "publish_metrics", None)
-        if callable(publish) and telemetry.workers:
-            publish(metrics, telemetry.workers)
-
-    def _lock_sources(self) -> list[RegionLocks]:
-        """Every RegionLocks instance this engine's lanes may have used."""
-        sources: list[RegionLocks] = []
-        locks = getattr(self.executor, "locks", None)
-        if isinstance(locks, RegionLocks):
-            sources.append(locks)
-        if self._coordinator is not None and all(
-            self._coordinator.locks is not source for source in sources
-        ):
-            sources.append(self._coordinator.locks)
-        return sources
-
-    def _lock_stats_snapshot(self) -> dict[int, dict[str, dict[str, float]]]:
-        """Cumulative lock stats per source, keyed by object identity."""
-        return {id(source): source.stats() for source in self._lock_sources()}
-
-    def _collect_lock_stats(
-        self,
-        outcome: EngineOutcome,
-        baseline: dict[int, dict[str, dict[str, float]]],
-    ) -> None:
-        """Fold this run's lock timings into the outcome's telemetry.
-
-        ``RegionLocks`` accumulates for its lifetime (executors may be
-        reused across runs), so each run reports the delta against the
-        snapshot taken when it started.  A coordinator created mid-run has
-        fresh locks, whose baseline is implicitly zero.
-        """
-        for source in self._lock_sources():
-            stats = source.stats()
-            before = baseline.get(id(source), {})
-            delta = {
-                region: {
-                    key: values[key] - before.get(region, {}).get(key, 0.0)
-                    for key in values
-                }
-                for region, values in stats.items()
-            }
-            outcome.telemetry.merge_lock_stats(delta)
 
     def _analysis_snapshot(self) -> dict[str, int]:
-        """Cumulative analysis-engine counters of the engine-side pipeline."""
+        """Cumulative analysis-engine counters of the pipeline."""
         analysis = getattr(self.manager.pipeline, "analysis", None)
         return analysis.snapshot() if analysis is not None else {}
 
-    def _worker_analysis_snapshot(self) -> dict[str, int]:
-        """Cumulative worker-side analysis counters (process executor only)."""
-        stats = getattr(self.executor, "worker_analysis", None)
-        return stats() if callable(stats) else {}
-
     def _collect_analysis_stats(
-        self,
-        outcome: EngineOutcome,
-        baseline: dict[str, int],
-        worker_baseline: dict[str, int],
+        self, outcome: EngineOutcome, baseline: dict[str, int]
     ) -> None:
         """Fold this run's step-4 analysis work into the telemetry.
 
         The analysis engine accumulates for the pipeline's lifetime, so each
-        run reports the delta against its starting snapshot (same discipline
-        as the lock and worker stats).  Process drain workers run their own
-        analysis engines; their per-lane counter deltas accumulate on the
-        executor and this run's share is folded in here, so
-        ``telemetry.analysis`` accounts *all* analysis work regardless of
-        executor.
+        run reports the delta against its starting snapshot.
         """
         stats = self._analysis_snapshot()
-        worker_stats = self._worker_analysis_snapshot()
-        if not stats and not worker_stats:
-            return
-        totals = {key: value - baseline.get(key, 0) for key, value in stats.items()}
-        for key, value in worker_stats.items():
-            totals[key] = totals.get(key, 0) + value - worker_baseline.get(key, 0)
-        outcome.telemetry.analysis = totals
-
-    def _worker_stats_snapshot(self) -> dict[str, dict[str, float]]:
-        """Cumulative per-worker executor stats, empty for worker-less executors."""
-        stats = getattr(self.executor, "worker_stats", None)
-        return stats() if callable(stats) else {}
-
-    def _collect_worker_stats(
-        self,
-        outcome: EngineOutcome,
-        baseline: dict[str, dict[str, float]],
-    ) -> None:
-        """Fold this run's per-worker executor stats into the telemetry.
-
-        Like the lock stats, the executor accumulates for its lifetime
-        (worker pools are reused across runs), so each run reports the
-        delta against its starting snapshot.
-        """
-        stats = self._worker_stats_snapshot()
-        if not stats:
-            return
-        outcome.telemetry.merge_worker_stats(
-            {
-                worker: {
-                    key: value - baseline.get(worker, {}).get(key, 0)
-                    for key, value in values.items()
-                }
-                for worker, values in stats.items()
+        if stats:
+            outcome.telemetry.analysis = {
+                key: value - baseline.get(key, 0) for key, value in stats.items()
             }
-        )
 
     # ------------------------------------------------------------------ #
     def _submit(self, event: StartEvent) -> int:
@@ -1558,8 +652,8 @@ class WorkloadEngine:
             raise failed[0].error
 
         # Multi-region lane: spanning requests plan over budgeted corridors
-        # under a lock subset, after the workers joined, before the global
-        # fallback.  Claiming follows arrival order like everything else.
+        # after the region lanes, before the global fallback.  Claiming
+        # follows arrival order like everything else.
         multi_jobs = self._claim_multi_region_jobs(ready, running, claimed, job_of)
         if multi_jobs:
             self._run_multi_region_lane(multi_jobs)
@@ -1716,40 +810,25 @@ class WorkloadEngine:
         return jobs
 
     def _run_multi_region_lane(self, jobs: list[_MultiRegionJob]) -> None:
-        """Run the planner jobs under lock subsets (ownership guard armed)."""
-        if self._coordinator is None:
-            locks = getattr(self.executor, "locks", None)
-            self._coordinator = InterRegionCoordinator(
-                self.manager.partition,
-                locks=locks if isinstance(locks, RegionLocks) else None,
+        """Run the planner jobs in claim order."""
+        for job in jobs:
+            plan_start_ns = (
+                time.perf_counter_ns()
+                if self.tracer.enabled and job.trace is not None
+                else 0
             )
-        state = self.manager.pipeline.state
-        guard = getattr(self.executor, "guard", None)
-        previous_guard = state.ownership_guard
-        if guard is not None:
-            # The planner must prove it only touches its lock subset.
-            state.ownership_guard = guard
-        try:
-            for job in jobs:
-                plan_start_ns = (
-                    time.perf_counter_ns()
-                    if self.tracer.enabled and job.trace is not None
-                    else 0
+            job.run(self.manager.pipeline)
+            if plan_start_ns:
+                self.tracer.record(
+                    "interregion_plan",
+                    job.trace,
+                    plan_start_ns,
+                    time.perf_counter_ns(),
+                    attrs={
+                        "admitted": job.decision is not None
+                        and job.decision.admitted
+                    },
                 )
-                job.run(self.manager.pipeline, self._coordinator)
-                if plan_start_ns:
-                    self.tracer.record(
-                        "interregion_plan",
-                        job.trace,
-                        plan_start_ns,
-                        time.perf_counter_ns(),
-                        attrs={
-                            "admitted": job.decision is not None
-                            and job.decision.admitted
-                        },
-                    )
-        finally:
-            state.ownership_guard = previous_guard
 
     def _unwind_failed_drain(
         self,

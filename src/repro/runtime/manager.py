@@ -97,8 +97,8 @@ class RuntimeResourceManager:
         Attach an :class:`~repro.interregion.planner.InterRegionPlanner`
         (requires ``partition``): requests whose pinned tiles span regions
         are planned over budgeted boundary corridors before the global
-        fallback, and the engine's multi-region lane admits them under a
-        lock subset instead of the serialized global lane.
+        fallback, and the engine's multi-region lane admits them within
+        their region scope instead of the serialized global lane.
     corridor_budget_fraction:
         Fraction of boundary-link capacity corridors may reserve.
     region_scorer:
@@ -215,12 +215,12 @@ class RuntimeResourceManager:
     ) -> AdmissionDecision:
         """Record a decision whose pipeline work already happened elsewhere.
 
-        The workload engine's region workers run
-        :meth:`AdmissionPipeline.decide` (mapping *and* commit) off the main
-        thread; the manager-level bookkeeping — the audit trail and the
-        running-application registry — is then adopted here, on the engine's
-        thread, in deterministic order.  The caller guarantees the
-        application was not already running when the worker mapped it.
+        The workload engine's region lanes run
+        :meth:`AdmissionPipeline.decide` (mapping *and* commit) first; the
+        manager-level bookkeeping — the audit trail and the
+        running-application registry — is then adopted here, in arrival
+        order.  The caller guarantees the application was not already
+        running when the lane mapped it.
         """
         self.decisions.append((decision.application, decision.admitted, decision.reason))
         self.pipeline.note_feedback(decision)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.appmodel.library import ImplementationLibrary
 from repro.csdf.analysis.budget import AnalysisEngine
@@ -66,32 +66,11 @@ class AdmissionDecision:
     #: way to this decision (empty without a partition, or when the first
     #: candidate admitted).  Rejection feedback is derived from these at
     #: the single finalisation point (:meth:`AdmissionPipeline.note_feedback`),
-    #: never inside the possibly-concurrent mapping itself.
+    #: never inside the mapping itself.
     attempted_regions: tuple[str, ...] = ()
     #: Shape fingerprint of the application, computed while the library was
     #: at hand; ``None`` when no rejection feedback is configured.
     shape: tuple | None = None
-
-    def as_transport(self) -> "AdmissionDecision":
-        """A transport-safe copy of this decision for crossing process boundaries.
-
-        Everything settlement needs — admitted/reason, the mapping and its
-        energy/feasibility figures, the mapper runtime, ``attempted_regions``
-        and ``shape`` (consumed by :meth:`AdmissionPipeline.note_feedback` on
-        the engine process) — is carried verbatim.  The mapped CSDF graph
-        and the mapper's pending step feedback are dropped: both are
-        worker-local search artefacts no finalisation or differential key
-        reads, and they dominate the pickled size.
-        """
-        result = self.result
-        if result is not None:
-            result = replace(
-                result,
-                mapped_csdf=None,
-                pending_feedback=[],
-                diagnostics=list(result.diagnostics),
-            )
-        return replace(self, result=result)
 
 
 class AdmissionPipeline:
@@ -170,7 +149,6 @@ class AdmissionPipeline:
         #: iterations and admission requests, and the source of the
         #: engine-level ``analysis`` telemetry counters.
         self.analysis = AnalysisEngine.from_config(self.config)
-        self._uses_default_factory = mapper_factory is None
         self._mapper_factory = mapper_factory or (
             lambda platform_, library_, config_: SpatialMapper(
                 platform_, library_, config_, cache=self.cache, analysis=self.analysis
@@ -191,7 +169,7 @@ class AdmissionPipeline:
         #: a request no single region can host is planned over budgeted
         #: boundary corridors *before* the unrestricted global fallback.
         self.interregion = None
-        #: Observability hooks.  The engine (or a drain worker) installs its
+        #: Observability hooks.  The engine installs its
         #: :class:`~repro.obs.trace.Tracer` / per-run
         #: :class:`~repro.obs.metrics.MetricsRegistry` here; the defaults keep
         #: an un-instrumented pipeline allocation-free on the hot path.
@@ -292,10 +270,6 @@ class AdmissionPipeline:
                     self.platform, effective, self.config
                 )
             return self._default_mapper
-        # Read the slot once: a concurrent region worker may replace it
-        # between a check and a re-read, and handing back a mapper built for
-        # a *different* library would silently map against the wrong
-        # implementations.  Racing the slot only costs an extra mapper.
         custom = self._custom_mapper
         if custom is not None and custom[0] is effective:
             return custom[1]
@@ -360,50 +334,10 @@ class AdmissionPipeline:
         """
         mapping = result.mapping
         with self.state.transaction(region):
-            records = self.write_allocations(als.name, mapping)
-        # Journal only once the transaction committed: a rolled-back commit
-        # must leave the region delta chains untouched.
-        self.state.journal_mapping_commit(als.name, *records)
-        self._note_commit(als.name, mapping)
+            self.write_allocations(als.name, mapping)
+        self.record_commit(als.name, mapping)
 
-    def allocation_records(
-        self, application: str, mapping: Mapping
-    ) -> tuple[tuple[ProcessAllocation, ...], tuple[LinkAllocation, ...]]:
-        """The allocation records a mapping commits, in commit order.
-
-        This is the single translation from a mapping to state mutations:
-        :meth:`write_allocations` applies it locally, and the process drain
-        ships it across the boundary as an
-        :class:`~repro.platform.state.AllocationDelta` — so a worker-side
-        commit and the engine-side fold of its delta write bit-identical
-        records in the same order.
-        """
-        processes = tuple(
-            ProcessAllocation(
-                application=application,
-                process=assignment.process,
-                tile=assignment.tile,
-                memory_bytes=assignment.implementation.memory_bytes,
-                compute_cycles_per_iteration=assignment.implementation.total_wcet_cycles,
-            )
-            for assignment in mapping.assignments
-            if assignment.implementation is not None
-        )
-        links = tuple(
-            LinkAllocation(
-                application=application,
-                channel=route.channel,
-                link=self.platform.noc.link(a, b).name,
-                bits_per_s=route.required_bits_per_s,
-            )
-            for route in mapping.routes
-            for a, b in zip(route.path, route.path[1:])
-        )
-        return processes, links
-
-    def write_allocations(
-        self, application: str, mapping: Mapping
-    ) -> tuple[tuple[ProcessAllocation, ...], tuple[LinkAllocation, ...]]:
+    def write_allocations(self, application: str, mapping: Mapping) -> None:
         """Allocate a mapping's processes and routed links into the state.
 
         Writes into whatever transaction scope the caller holds open —
@@ -411,15 +345,30 @@ class AdmissionPipeline:
         planner under its corridor scope (and for tentative scratch work).
         Keeping this the single allocation writer means planner-committed
         and pipeline-committed state can never diverge in bookkeeping.
-        Returns the written records so callers that must journal them
-        (:meth:`commit`) do not translate the mapping twice.
         """
-        processes, links = self.allocation_records(application, mapping)
-        for allocation in processes:
-            self.state.allocate_process(allocation)
-        for allocation in links:
-            self.state.allocate_link(allocation)
-        return processes, links
+        for assignment in mapping.assignments:
+            if assignment.implementation is not None:
+                self.state.allocate_process(
+                    ProcessAllocation(
+                        application=application,
+                        process=assignment.process,
+                        tile=assignment.tile,
+                        memory_bytes=assignment.implementation.memory_bytes,
+                        compute_cycles_per_iteration=(
+                            assignment.implementation.total_wcet_cycles
+                        ),
+                    )
+                )
+        for route in mapping.routes:
+            for a, b in zip(route.path, route.path[1:]):
+                self.state.allocate_link(
+                    LinkAllocation(
+                        application=application,
+                        channel=route.channel,
+                        link=self.platform.noc.link(a, b).name,
+                        bits_per_s=route.required_bits_per_s,
+                    )
+                )
 
     # ------------------------------------------------------------------ #
     # The full pipeline
@@ -441,8 +390,8 @@ class AdmissionPipeline:
         benchmarks reflects the real pipeline cost.
 
         ``candidates`` overrides stage 2: the caller dictates exactly which
-        regions to attempt (the engine's region workers pass their single
-        lane region so a parallel attempt can never leave its shard).
+        regions to attempt (the engine's region lanes pass their single
+        lane region so a lane attempt can never leave its shard).
 
         When an inter-region planner is attached, the global-fallback slot
         first attempts a planned cross-region admission over budgeted
@@ -684,15 +633,8 @@ class AdmissionPipeline:
         occurrence of the post-release state become servable again, which is
         exactly the churn (start/stop/start) case the cache exists for.
         """
-        regions = self._regions_of_app.get(application)
         with self.state.transaction():
             removed = self.state.release_application(application)
-        if removed:
-            # Journal the *logical* release into the delta chains (a replay
-            # re-sums survivors exactly like the engine-side release did).
-            # Unknown placement broadcasts — replaying a release of an
-            # absent application is a fingerprint-preserving no-op.
-            self.state.journal_release(application, regions or None)
         if self.interregion is not None:
             self.interregion.budgets.release_application(application)
         self._regions_of_app.pop(application, None)
@@ -707,8 +649,8 @@ class AdmissionPipeline:
     ) -> AdmissionDecision:
         """Run only the inter-region planner stage for one request.
 
-        The engine's multi-region lane uses this under the coordinator's
-        lock subset; a rejection is final for this stage only — the caller
+        The engine's multi-region lane uses this with the planner's region
+        scope; a rejection is final for this stage only — the caller
         retries through the serialized global lane.
         """
         if self.interregion is None:
@@ -726,9 +668,8 @@ class AdmissionPipeline:
         manager's :meth:`~repro.runtime.manager.RuntimeResourceManager.admit`
         and :meth:`~repro.runtime.manager.RuntimeResourceManager.adopt_decision`
         — invoke this at the single finalisation point, on the finalising
-        thread, in deterministic settlement order: the possibly-concurrent
-        region workers never mutate the memory, which is what keeps the
-        serial and threaded engines decision-identical with feedback on.
+        thread, in deterministic settlement order: the mapping itself never
+        mutates the memory.
         """
         scorer = self.region_scorer
         if scorer is None or scorer.feedback is None:
@@ -767,30 +708,19 @@ class AdmissionPipeline:
         self._regions_of_app.pop(application, None)
 
     def record_commit(self, application: str, mapping: Mapping) -> None:
-        """Record a commit performed outside :meth:`commit`.
-
-        Both out-of-band commit paths — the inter-region planner's corridor
-        commit and the engine's fold of a worker delta — land here after
-        their transaction closed, so this is also where the committed
-        records enter the region delta journals.
-        """
-        if self.state.region_journals:
-            processes, links = self.allocation_records(application, mapping)
-            self.state.journal_mapping_commit(application, processes, links)
-        self._note_commit(application, mapping)
-
-    # ------------------------------------------------------------------ #
-    def _note_commit(self, application: str, mapping: Mapping) -> None:
         """Record which regions the committed allocations fall into.
 
-        The commit itself invalidates affected cache entries by changing the
-        touched regions' fingerprints (entries are keyed by fingerprint, so
-        a stale entry simply never matches again); entries of untouched
-        regions deliberately stay live — that is what makes region sharding
-        and caching compose.
+        :meth:`commit` calls this after its transaction closed, and so does
+        the inter-region planner after its corridor commit.  The commit
+        itself invalidates affected cache entries by changing the touched
+        regions' fingerprints (entries are keyed by fingerprint, so a stale
+        entry simply never matches again); entries of untouched regions
+        deliberately stay live — that is what makes region sharding and
+        caching compose.
         """
         self._regions_of_app[application] = self._touched_regions(mapping)
 
+    # ------------------------------------------------------------------ #
     def _touched_regions(self, mapping: Mapping) -> tuple[str, ...]:
         """Names of the regions a mapping's allocations fall into."""
         if self.partition is None:

@@ -24,14 +24,14 @@ offered:
   region-scoped transactions, interleaved per-region admissions never touch
   each other's journals.
 
-The queue also exposes the two-phase primitives the workload engine's
-executors build on — :meth:`take` (claim pending requests, marking them
+The queue also exposes the two-phase primitives the workload engine
+builds on — :meth:`take` (claim pending requests, marking them
 ``IN_FLIGHT``) and :meth:`finalize` (settle a claimed request with its
 decision) — and two behaviours that only matter once draining is
 asynchronous:
 
 * **cancel of an in-flight request** registers an intent instead of
-  withdrawing: if the worker's decision lands afterwards, an admission is
+  withdrawing: if the engine's decision lands afterwards, an admission is
   rolled back (the application is stopped) and the request settles as
   ``CANCELLED``;
 * **cache-aware rejection parking** (``park_rejections=True``): a rejected
@@ -185,7 +185,7 @@ class AdmissionQueue:
         """Withdraw a pending request; returns whether it was still pending.
 
         Cancelling an *in-flight* request (claimed by :meth:`take` but not
-        yet finalised) cannot withdraw it synchronously — the worker may
+        yet finalised) cannot withdraw it synchronously — the engine may
         already be committing — so the call registers a cancellation intent
         and returns ``False``; :meth:`finalize` honours the intent, rolling
         back an admission that lands after the cancellation.

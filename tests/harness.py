@@ -3,9 +3,9 @@
 The engine differential tests, the engine unit tests, the admission-control
 tests and the benchmark suite all need the same scaffolding: a small
 region-partitioned platform, synthetic applications pinned to one region's
-I/O tile, a manager wired to that platform, deterministic generated
-workloads, and an engine over a chosen executor.  Those pieces used to be
-copy-pasted per file; this module is the single home.
+I/O tile, a manager wired to that platform, and deterministic generated
+workloads.  Those pieces used to be copy-pasted per file; this module is
+the single home.
 
 Everything is deterministic given its explicit seeds — two calls with equal
 arguments build equal platforms/workloads (event sequence numbers aside,
@@ -22,12 +22,6 @@ import pytest
 
 from repro.platform.builder import PlatformBuilder
 from repro.platform.regions import RegionPartition
-from repro.runtime.engine import (
-    ProcessRegionExecutor,
-    SerialRegionExecutor,
-    ThreadedRegionExecutor,
-    WorkloadEngine,
-)
 from repro.runtime.manager import RuntimeResourceManager
 from repro.spatialmapper.config import MapperConfig
 from repro.workloads import hiperlan2
@@ -97,32 +91,6 @@ def make_manager(platform=None, **kwargs) -> RuntimeResourceManager:
     kwargs.setdefault("config", MapperConfig(analysis_iterations=3))
     kwargs.setdefault("partition", two_region_partition(platform))
     return RuntimeResourceManager(platform, **kwargs)
-
-
-def make_engine(
-    manager: RuntimeResourceManager,
-    *,
-    executor: str = "serial",
-    **kwargs,
-) -> WorkloadEngine:
-    """An engine over the manager with a named executor kind.
-
-    ``executor`` is ``"serial"``, ``"threaded"`` or ``"process"``;
-    remaining keyword arguments (``park_rejections``, ``governor``,
-    ``drain_mode``, ...) are forwarded to :class:`WorkloadEngine`.  The
-    process executor gets a pinned two-worker pool so tests behave the
-    same on any core count; callers should ``close()`` it (or rely on
-    garbage collection) when done.
-    """
-    if executor == "threaded":
-        backend = ThreadedRegionExecutor(manager.partition)
-    elif executor == "serial":
-        backend = SerialRegionExecutor()
-    elif executor == "process":
-        backend = ProcessRegionExecutor(manager.partition, workers=2)
-    else:
-        raise ValueError(f"unknown executor kind {executor!r}")
-    return WorkloadEngine(manager, executor=backend, **kwargs)
 
 
 # --------------------------------------------------------------------------- #

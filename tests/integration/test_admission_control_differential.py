@@ -4,23 +4,23 @@ Three equivalences anchor the subsystem:
 
 * the composite region scorer at its *neutral* policy (``fill_only``, no
   feedback memory) must order — and therefore decide — exactly like the
-  historic least-filled-first selection stage, on the serial, threaded and
-  process executors alike;
+  historic least-filled-first selection stage;
 * an engine with a *disabled* governor (and one with no governor at all)
   must be decision-inert: bit-identical outcomes to the pre-governor
   engine;
 * with the full adaptive configuration (composite scoring, rejection
-  feedback, governor shedding) every parallel executor (threaded and
-  process) must stay decision-identical to the serial reference —
-  feedback updates and governor state both live on the engine thread in
-  settlement order, and this test is what keeps them there.
+  feedback, governor shedding) two fresh replays of one workload must be
+  decision- and state-identical — feedback updates and governor state are
+  driven only by the settlement order, and this test is what keeps them
+  that way.
 """
 
 import pytest
 
 from repro.runtime.admission_control import GovernorConfig, LoadSheddingGovernor
+from repro.runtime.engine import WorkloadEngine
 from repro.spatialmapper.region_score import RegionScorePolicy, RegionScorer
-from tests.harness import make_engine, make_manager, two_region_workload
+from tests.harness import make_manager, two_region_workload
 
 
 def outcome_key(manager, outcome):
@@ -31,31 +31,23 @@ def outcome_key(manager, outcome):
         sorted(manager.state.occupied_tiles()),
         manager.state.link_loads(),
         outcome.departures,
+        manager.state.fingerprint(),
     )
 
 
-def run(seed, *, executor="serial", scorer=None, governor=None, park=True):
+def run(seed, *, scorer=None, governor=None, park=True):
     manager = make_manager(region_scorer=scorer)
-    engine = make_engine(
-        manager, executor=executor, governor=governor, park_rejections=park
-    )
-    try:
-        outcome = engine.run(two_region_workload(seed, name=f"acd-{seed}"))
-    finally:
-        close = getattr(engine.executor, "close", None)
-        if close is not None:
-            close()
+    engine = WorkloadEngine(manager, governor=governor, park_rejections=park)
+    outcome = engine.run(two_region_workload(seed, name=f"acd-{seed}"))
     return manager, outcome
 
 
 class TestNeutralScorerDifferential:
     @pytest.mark.parametrize("seed", [5, 17, 29])
-    @pytest.mark.parametrize("executor", ["serial", "threaded", "process"])
-    def test_fill_only_scorer_reproduces_fill_level_decisions(self, seed, executor):
-        baseline_manager, baseline = run(seed, executor=executor)
+    def test_fill_only_scorer_reproduces_fill_level_decisions(self, seed):
+        baseline_manager, baseline = run(seed)
         scored_manager, scored = run(
             seed,
-            executor=executor,
             scorer=RegionScorer(RegionScorePolicy.fill_only()),
             governor=LoadSheddingGovernor(enabled=False),
         )
@@ -105,21 +97,19 @@ class TestGovernorInertness:
 
 class TestAdaptiveExecutorIdentity:
     @pytest.mark.parametrize("seed", [11, 41])
-    @pytest.mark.parametrize("executor", ["threaded", "process"])
-    def test_full_adaptive_config_is_executor_invariant(self, seed, executor):
-        def adaptive_run(kind):
+    def test_full_adaptive_config_replays_identically(self, seed):
+        def adaptive_run():
             return run(
                 seed,
-                executor=kind,
                 scorer=RegionScorer.adaptive(),
                 governor=LoadSheddingGovernor(
                     GovernorConfig(rate_floor=0.5, window=16, min_samples=4)
                 ),
             )
 
-        serial_manager, serial = adaptive_run("serial")
-        parallel_manager, parallel = adaptive_run(executor)
-        assert outcome_key(serial_manager, serial) == outcome_key(
-            parallel_manager, parallel
+        first_manager, first = adaptive_run()
+        second_manager, second = adaptive_run()
+        assert outcome_key(first_manager, first) == outcome_key(
+            second_manager, second
         )
-        assert serial.telemetry.governor == parallel.telemetry.governor
+        assert first.telemetry.governor == second.telemetry.governor

@@ -1,15 +1,15 @@
-"""Differential tests: engine vs legacy player, parallel vs serial draining.
+"""Differential tests: engine vs legacy player, and replay determinism.
 
-Two equivalences anchor the engine refactor:
+Two equivalences anchor the engine:
 
 * :func:`run_scenario` (now a thin adapter over the engine in immediate
   drain mode) must be decision-for-decision — and energy-for-energy —
   identical to the legacy player that called the manager directly; the
   reference implementation is inlined here, frozen at its PR 2 behaviour.
-* Draining with the threaded per-region executor — and with the
-  process-parallel snapshot-out / delta-in executor — must be
-  decision-identical to the serial executor on the same event stream,
-  across generated workloads, with and without rejection parking.
+* Two fresh engines replaying the same event stream must be
+  decision-identical and end in bit-identical platform states, across
+  generated workloads, with and without rejection parking, and with the
+  rescue lane firing.
 """
 
 import pytest
@@ -17,12 +17,7 @@ import pytest
 from repro.exceptions import AdmissionError
 from repro.platform.regions import RegionPartition
 from repro.runtime.accounting import EnergyAccount
-from repro.runtime.engine import (
-    ProcessRegionExecutor,
-    SerialRegionExecutor,
-    ThreadedRegionExecutor,
-    WorkloadEngine,
-)
+from repro.runtime.engine import SerialRegionExecutor, WorkloadEngine
 from repro.runtime.events import StartEvent, StopEvent
 from repro.runtime.manager import RuntimeResourceManager
 from repro.runtime.scenario import ScenarioOutcome, run_scenario
@@ -111,52 +106,50 @@ class TestScenarioAdapterDifferential:
         assert isinstance(adapter.energy, EnergyAccount)
 
 
+def assert_same_run(first_manager, first, second_manager, second):
+    """Two runs decided identically and ended in bit-identical states."""
+    assert first.decision_log() == second.decision_log()
+    assert first_manager.decisions == second_manager.decisions
+    assert sorted(first_manager.state.occupied_tiles()) == sorted(
+        second_manager.state.occupied_tiles()
+    )
+    assert first_manager.state.link_loads() == second_manager.state.link_loads()
+    assert first_manager.state.fingerprint() == second_manager.state.fingerprint()
+    assert first.energy.total_energy_nj == pytest.approx(second.energy.total_energy_nj)
+    assert first.departures == second.departures
+
+
 class TestParallelDrainDifferential:
     @pytest.mark.parametrize("seed", [5, 17])
     @pytest.mark.parametrize("park", [False, True])
-    @pytest.mark.parametrize("kind", ["threaded", "process"])
-    def test_parallel_drain_is_decision_identical_to_serial(self, seed, park, kind):
+    def test_fresh_serial_replays_are_decision_identical(self, seed, park):
         scenario = generate_workload(
             seed, 12 * MILLISECOND, workload_classes(), name="parallel-diff"
         )
-
-        serial_manager = make_manager()
-        serial = WorkloadEngine(
-            serial_manager,
-            executor=SerialRegionExecutor(),
-            park_rejections=park,
-        ).run(scenario)
-
-        parallel_manager = make_manager()
-        executor = (
-            ThreadedRegionExecutor(parallel_manager.partition)
-            if kind == "threaded"
-            else ProcessRegionExecutor(parallel_manager.partition, workers=2)
-        )
-        try:
-            parallel = WorkloadEngine(
-                parallel_manager,
-                executor=executor,
-                park_rejections=park,
+        runs = []
+        for _ in range(2):
+            manager = make_manager()
+            outcome = WorkloadEngine(
+                manager, executor=SerialRegionExecutor(), park_rejections=park
             ).run(scenario)
-        finally:
-            if kind == "process":
-                executor.close()
+            runs.append((manager, outcome))
+        assert_same_run(*runs[0], *runs[1])
 
-        assert serial.decision_log() == parallel.decision_log()
-        assert serial_manager.decisions == parallel_manager.decisions
-        assert sorted(serial_manager.state.occupied_tiles()) == sorted(
-            parallel_manager.state.occupied_tiles()
+    @pytest.mark.parametrize("seed", [5, 17])
+    def test_immediate_mode_replays_are_decision_identical(self, seed):
+        # One drain per event: the serial phase sees every arrival alone.
+        scenario = generate_workload(
+            seed, 12 * MILLISECOND, workload_classes(), name="immediate-diff"
         )
-        assert serial_manager.state.link_loads() == parallel_manager.state.link_loads()
-        assert serial.energy.total_energy_nj == pytest.approx(
-            parallel.energy.total_energy_nj
-        )
-        assert serial.departures == parallel.departures
-        if kind == "process":
-            # The snapshot-out / delta-in protocol must report its traffic.
-            workers = parallel.telemetry.workers
-            assert workers and sum(w["requests"] for w in workers.values()) > 0
+        runs = []
+        for _ in range(2):
+            manager = make_manager()
+            outcome = WorkloadEngine(
+                manager, executor=SerialRegionExecutor(), drain_mode="immediate"
+            ).run(scenario)
+            runs.append((manager, outcome))
+        assert_same_run(*runs[0], *runs[1])
+        assert runs[0][1].drains >= len(runs[0][1].records)
 
     def test_parking_changes_work_not_decisions_visible_to_clients(self):
         # With parking on, hopeless requests are skipped between state
@@ -177,16 +170,16 @@ class TestParallelDrainDifferential:
 
 
 class TestRescueLaneDifferential:
-    """Serial vs threaded vs process drains with the rescue lane enabled.
+    """Replay determinism with the rescue lane enabled.
 
-    The stochastic rescue lane must not cost executor decision identity:
-    its searcher seeds derive from the request fingerprints (never from
-    global RNG state or the wall clock), so the serial, threaded and
-    process drains of one event stream must decide identically — down to
-    bit-identical platform-state fingerprints — even while rescue
-    adoptions are flipping rejections into admissions.  The platform is
-    the packing regime (multi-slot tiles, tight memories) where the lane
-    actually fires; a rescue-off serial run pins that it did.
+    The stochastic rescue lane must not cost replay determinism: its
+    searcher seeds derive from the request fingerprints (never from global
+    RNG state or the wall clock), so two fresh drains of one event stream
+    must decide identically — down to bit-identical platform-state
+    fingerprints — even while rescue adoptions are flipping rejections into
+    admissions.  The platform is the packing regime (multi-slot tiles,
+    tight memories) where the lane actually fires; a rescue-off run pins
+    that it did.
     """
 
     RESCUE_CONFIG = MapperConfig(
@@ -222,51 +215,26 @@ class TestRescueLaneDifferential:
         ]
         return generate_workload(11, 7 * MILLISECOND, classes, name="rescue-diff")
 
-    def run_one(self, kind, config):
+    def run_one(self, config):
         manager = self.make_rescue_manager(config)
-        if kind == "threaded":
-            executor = ThreadedRegionExecutor(manager.partition)
-        elif kind == "process":
-            executor = ProcessRegionExecutor(manager.partition, workers=2)
-        else:
-            executor = SerialRegionExecutor()
-        try:
-            outcome = WorkloadEngine(
-                manager, executor=executor, park_rejections=True
-            ).run(self.rescue_workload())
-        finally:
-            if kind == "process":
-                executor.close()
+        outcome = WorkloadEngine(
+            manager, executor=SerialRegionExecutor(), park_rejections=True
+        ).run(self.rescue_workload())
         return manager, outcome
 
     @pytest.fixture(scope="class")
     def serial_rescue(self):
-        """The serial reference drain, shared by both differential tests."""
-        return self.run_one("serial", self.RESCUE_CONFIG)
+        """The reference drain, shared by both differential tests."""
+        return self.run_one(self.RESCUE_CONFIG)
 
     def test_rescue_enabled_drains_are_decision_identical(self, serial_rescue):
-        serial_manager, serial = serial_rescue
-        for kind in ("threaded", "process"):
-            manager, outcome = self.run_one(kind, self.RESCUE_CONFIG)
-            assert serial.decision_log() == outcome.decision_log(), kind
-            assert serial_manager.decisions == manager.decisions, kind
-            assert sorted(serial_manager.state.occupied_tiles()) == sorted(
-                manager.state.occupied_tiles()
-            ), kind
-            assert (
-                serial_manager.state.link_loads() == manager.state.link_loads()
-            ), kind
-            # Bit-identical end states, not just equal-looking ones.
-            assert (
-                serial_manager.state.fingerprint() == manager.state.fingerprint()
-            ), kind
-            assert serial.departures == outcome.departures, kind
+        assert_same_run(*serial_rescue, *self.run_one(self.RESCUE_CONFIG))
 
     def test_rescue_actually_fired_on_this_stream(self, serial_rescue):
         """The differential must exercise the lane, not an idle code path:
         with rescue on, the same stream admits strictly more than with the
         lane disabled (every extra admission is a rescue adoption)."""
-        _, without = self.run_one("serial", MapperConfig(analysis_iterations=3))
+        _, without = self.run_one(MapperConfig(analysis_iterations=3))
         _, with_rescue = serial_rescue
         assert with_rescue.decided == without.decided
         assert len(with_rescue.admitted) > len(without.admitted)

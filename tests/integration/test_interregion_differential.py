@@ -1,7 +1,7 @@
 """Differential: the inter-region planner against the global-lane reference.
 
-The global lane (unrestricted whole-platform mapping under every region
-lock) remains in the codebase as the planner's differential reference.
+The global lane (unrestricted whole-platform mapping under a global
+transaction) remains in the codebase as the planner's differential reference.
 These tests pin the equivalence the tentpole promises:
 
 * for *single-region* applications the planner never engages, so a
@@ -18,12 +18,7 @@ These tests pin the equivalence the tentpole promises:
 import pytest
 
 from repro.platform.regions import RegionPartition
-from repro.runtime.engine import (
-    ProcessRegionExecutor,
-    SerialRegionExecutor,
-    ThreadedRegionExecutor,
-    WorkloadEngine,
-)
+from repro.runtime.engine import SerialRegionExecutor, WorkloadEngine
 from repro.runtime.manager import RuntimeResourceManager
 from repro.spatialmapper.config import MapperConfig
 from repro.workloads.arrivals import (
@@ -90,8 +85,8 @@ class TestSingleRegionIdentity:
         # And nothing ever settled in the multi-region lane.
         assert "__multi__" not in outcomes["on"].telemetry.lanes
 
-    def test_parallel_planner_engines_match_serial(self):
-        """The multi-region lane preserves executor decision-identity."""
+    def test_planner_engine_replays_identically(self):
+        """Two fresh replays through the multi-region lane decide identically."""
         classes = [
             TrafficClass(
                 "r0_0",
@@ -105,25 +100,18 @@ class TestSingleRegionIdentity:
             REGIONS, 400.0, config=CONFIG, hold_range_ns=(3e6, 8e6)
         )
         workload = generate_workload(78, 1.5e7, classes, name="mixed")
-        outcomes = {}
-        for kind in ("serial", "threaded", "process"):
+        runs = []
+        for _ in range(2):
             manager = make_manager(planner=True)
-            if kind == "threaded":
-                executor = ThreadedRegionExecutor(manager.partition)
-            elif kind == "process":
-                executor = ProcessRegionExecutor(manager.partition, workers=2)
-            else:
-                executor = SerialRegionExecutor()
-            engine = WorkloadEngine(manager, executor=executor, park_rejections=True)
-            try:
-                outcomes[kind] = engine.run(workload)
-            finally:
-                if kind == "process":
-                    executor.close()
-        for kind in ("threaded", "process"):
-            assert outcomes["serial"].decision_log() == outcomes[kind].decision_log()
-            assert outcomes["serial"].departures == outcomes[kind].departures
-        multi = outcomes["serial"].telemetry.lanes.get("__multi__")
+            engine = WorkloadEngine(
+                manager, executor=SerialRegionExecutor(), park_rejections=True
+            )
+            runs.append((manager, engine.run(workload)))
+        (first_manager, first), (second_manager, second) = runs
+        assert first.decision_log() == second.decision_log()
+        assert first.departures == second.departures
+        assert first_manager.state.fingerprint() == second_manager.state.fingerprint()
+        multi = first.telemetry.lanes.get("__multi__")
         assert multi is not None and multi.admitted > 0
 
 

@@ -3,43 +3,32 @@
 The observability layer's contract, pinned against real engine runs:
 
 * **Decision-inert** — with tracing and metrics fully on (sample rate 1.0)
-  the engine settles every request identically to an obs-off run, on both
-  the serial and the process executor.
-* **One connected tree per request** — on the process executor a sampled
-  request's spans form a single tree rooted at the engine's ``request``
-  span, crossing the process boundary through ``dispatch`` → worker
-  ``decide`` → mapper steps, with every worker span re-anchored inside
-  its dispatch window and the engine's fold recorded after it.
+  the engine settles every request identically to an obs-off run.
+* **One connected tree per request** — a sampled request's spans form a
+  single tree rooted at the engine's ``request`` span, through ``decide``
+  to the mapper steps, with every child inside its parent's window.
 * **Exportable** — ``write_export`` + ``validate_export`` round-trips a
   real run with zero problems, and the report CLI renders it.
-* **Worker analysis deltas** (satellite) — with caches disabled, the
-  process executor's folded step-4 analysis totals equal the serial
-  executor's, and an obs-off run still reports them.
+* **Analysis totals** — an obs-off run still reports the step-4 analysis
+  counters.
+* **Metrics match telemetry** — the run's registry counts exactly what the
+  engine's telemetry accounts, lane by lane.
 """
-
-import pytest
 
 from repro.obs import ObsConfig, validate_export, write_export
 from repro.obs.report import main as report_main
+from repro.platform.regions import RegionPartition
+from repro.runtime.engine import MULTI_REGION_LANE, WorkloadEngine
+from repro.runtime.manager import RuntimeResourceManager
 from repro.spatialmapper.config import MapperConfig
-from tests.harness import (
-    MILLISECOND,
-    make_engine,
-    make_manager,
-    two_region_workload,
-)
+from repro.workloads.arrivals import cross_region_classes, generate_workload
+from repro.workloads.synthetic import SyntheticConfig, generate_region_mesh
+from tests.harness import MILLISECOND, make_manager, two_region_workload
 
 
-def _run(seed=7, *, executor="serial", obs=None, manager_kwargs=None, **engine_kwargs):
-    manager = make_manager(**(manager_kwargs or {}))
-    engine = make_engine(manager, executor=executor, obs=obs, **engine_kwargs)
-    scenario = two_region_workload(seed, 12 * MILLISECOND, name="obs-accept")
-    try:
-        return engine.run(scenario)
-    finally:
-        close = getattr(engine.executor, "close", None)
-        if close is not None:
-            close()
+def _run(seed=7, *, obs=None):
+    engine = WorkloadEngine(make_manager(), obs=obs)
+    return engine.run(two_region_workload(seed, 12 * MILLISECOND, name="obs-accept"))
 
 
 def _decision_log(outcome):
@@ -52,10 +41,9 @@ def _decision_log(outcome):
 # --------------------------------------------------------------------------- #
 # Decision inertness
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("executor", ["serial", "process"])
-def test_obs_on_is_decision_inert(executor):
-    baseline = _run(executor=executor)
-    traced = _run(executor=executor, obs=ObsConfig(sample_rate=1.0))
+def test_obs_on_is_decision_inert():
+    baseline = _run()
+    traced = _run(obs=ObsConfig(sample_rate=1.0))
     assert _decision_log(traced) == _decision_log(baseline)
     # and the traced run actually traced: one root span per settled request
     roots = [span for span in traced.spans if span.parent_id is None]
@@ -82,58 +70,36 @@ def test_obs_off_publishes_nothing_but_analysis_survives():
 
 
 # --------------------------------------------------------------------------- #
-# Cross-process span trees
+# Span trees
 # --------------------------------------------------------------------------- #
-def test_process_run_produces_connected_reanchored_trees():
-    outcome = _run(executor="process", obs=ObsConfig(sample_rate=1.0))
+def test_run_produces_connected_nested_trees():
+    outcome = _run(obs=ObsConfig(sample_rate=1.0))
     spans = outcome.spans
     by_id = {span.span_id: span for span in spans}
-    worker_spans = [span for span in spans if span.process != "engine"]
-    assert worker_spans, "process run recorded no worker spans"
 
     # Every span's parent resolves within the same trace — one connected
-    # tree per trace id, rooted at the engine's request span.
+    # tree per trace id, rooted at the engine's request span — and every
+    # child lies inside its parent's window (the validator's slack applies
+    # to stamping skew).
+    slack = 1_000
     for span in spans:
         if span.parent_id is None:
             assert span.name == "request"
             continue
         parent = by_id[span.parent_id]
         assert parent.trace_id == span.trace_id
+        assert span.start_ns >= parent.start_ns - slack
+        assert span.end_ns <= parent.end_ns + slack
 
-    # Worker spans hang under an engine dispatch span and are re-anchored
-    # inside its window (the validator's slack applies to stamping skew).
-    slack = 1_000
-    dispatches = set()
-    for span in worker_spans:
-        assert dict(span.attrs).get("reanchored") is True
-        cursor = span
-        while cursor.parent_id is not None and cursor.process != "engine":
-            cursor = by_id[cursor.parent_id]
-        assert cursor.process == "engine" and cursor.name == "dispatch"
-        dispatches.add(cursor.span_id)
-        assert span.start_ns >= cursor.start_ns - slack
-        assert span.end_ns <= cursor.end_ns + slack
-
-    # Sibling worker decide spans of one dispatch ran sequentially on the
-    # worker's lane loop — re-anchoring must preserve their non-overlap.
-    for dispatch_id in dispatches:
-        decides = sorted(
-            (s for s in worker_spans if s.parent_id == dispatch_id and s.name == "decide"),
-            key=lambda s: s.start_ns,
-        )
-        for earlier, later in zip(decides, decides[1:]):
-            assert earlier.end_ns <= later.start_ns + slack
-
-    # The mapper's staged pipeline shows up under worker decides, and the
-    # engine folds each dispatched lane after its worker round.
+    # The mapper's staged pipeline shows up under the decides.
     names = {span.name for span in spans}
-    assert {"dispatch", "decide", "engine_fold", "queue_wait"} <= names
+    assert {"decide", "queue_wait"} <= names
     assert any(name.startswith("mapper.step") for name in names)
     assert any(name.startswith("map:") for name in names)
 
 
 def test_export_of_real_run_validates_and_reports(tmp_path, capsys):
-    outcome = _run(executor="process", obs=ObsConfig(sample_rate=1.0))
+    outcome = _run(obs=ObsConfig(sample_rate=1.0))
     path = str(tmp_path / "run.jsonl")
     write_export(path, outcome.spans, metrics=outcome.metrics, workload=outcome.workload)
     assert validate_export(path) == []
@@ -144,35 +110,59 @@ def test_export_of_real_run_validates_and_reports(tmp_path, capsys):
 
 
 def test_run_metrics_cover_every_island():
-    outcome = _run(executor="process", obs=ObsConfig(sample_rate=1.0))
+    outcome = _run(obs=ObsConfig(sample_rate=1.0))
     counters = outcome.metrics["counters"]
     gauges = outcome.metrics["gauges"]
     histograms = outcome.metrics["histograms"]
     assert any(name.startswith("engine.settled[") for name in counters)
     assert any(name.startswith("analysis.") for name in counters)
-    assert any(name.startswith("executor.") for name in counters)
     assert any(name.startswith("queue.") for name in counters)
     assert "governor.admission_rate" in gauges or not outcome.telemetry.governor
     assert "engine.request_latency_s" in histograms
     assert histograms["engine.request_latency_s"]["count"] == len(outcome.records)
 
 
-# --------------------------------------------------------------------------- #
-# Satellite: worker analysis counter deltas
-# --------------------------------------------------------------------------- #
-def test_worker_analysis_totals_agree_with_serial():
-    # Caches off so every decide pays full analysis cost in whichever
-    # process runs it — the totals must then be executor-independent.
-    manager_kwargs = {
-        "mapper_cache_size": 0,
-        "config": MapperConfig(analysis_iterations=3, analysis_cache_size=0),
-    }
-    serial = _run(manager_kwargs=manager_kwargs)
-    process = _run(executor="process", manager_kwargs=manager_kwargs)
-    assert _decision_log(process) == _decision_log(serial)
-    stale = sum(
-        stats.get("stale_redecides", 0) for stats in process.telemetry.workers.values()
+def test_span_ids_are_unique_and_roots_name_their_tickets():
+    outcome = _run(obs=ObsConfig(sample_rate=1.0))
+    assert len({span.span_id for span in outcome.spans}) == len(outcome.spans)
+    roots = [span for span in outcome.spans if span.parent_id is None]
+    tickets = sorted(dict(root.attrs)["ticket"] for root in roots)
+    assert tickets == sorted(record.ticket for record in outcome.records)
+    for root in roots:
+        assert root.trace_id == f"obs-accept:{dict(root.attrs)['ticket']}"
+
+
+def test_multi_region_lane_plans_hang_off_their_requests():
+    platform = generate_region_mesh(2, 4)
+    manager = RuntimeResourceManager(
+        platform,
+        config=MapperConfig(analysis_iterations=3),
+        partition=RegionPartition.grid(platform, 2, 2),
+        cross_region_planner=True,
     )
-    assert stale == 0, "stale re-decides would double-count analysis work"
-    assert process.telemetry.analysis == serial.telemetry.analysis
-    assert serial.telemetry.analysis["simulations_run"] > 0
+    classes = cross_region_classes(
+        2,
+        400.0,
+        config=SyntheticConfig(stages=4, period_ns=100_000.0, tile_types=("GPP", "DSP")),
+        hold_range_ns=(3e6, 8e6),
+    )
+    workload = generate_workload(78, 6e6, classes, name="obs-multi")
+    outcome = WorkloadEngine(manager, obs=ObsConfig(sample_rate=1.0)).run(workload)
+    by_id = {span.span_id: span for span in outcome.spans}
+    plans = [span for span in outcome.spans if span.name == "interregion_plan"]
+    assert plans
+    for plan in plans:
+        parent = by_id[plan.parent_id]
+        assert parent.name == "request" and parent.trace_id == plan.trace_id
+    assert outcome.telemetry.lanes[MULTI_REGION_LANE].admitted > 0
+
+
+def test_run_metrics_match_the_engine_telemetry():
+    outcome = _run(obs=ObsConfig(sample_rate=1.0))
+    counters = outcome.metrics["counters"]
+    for lane, lane_counters in outcome.telemetry.lanes.items():
+        for status in ("admitted", "rejected", "expired", "cancelled", "shed", "parked"):
+            name = f"engine.settled[lane={lane},status={status}]"
+            assert counters.get(name, 0.0) == getattr(lane_counters, status)
+    for key, value in outcome.telemetry.analysis.items():
+        assert counters.get(f"analysis.{key}", 0.0) == value

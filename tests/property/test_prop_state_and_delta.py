@@ -8,6 +8,9 @@ Two invariants protect the O(1) fast paths introduced for run-time admission:
   transaction rollback;
 * a rolled-back transaction must leave the state bit-identical to the
   snapshot taken before it opened;
+* fingerprints are exact: a copy reproduces them, starting and releasing
+  an application restores them, a region's fingerprint ignores the other
+  regions, and equal digests mean equal fingerprints;
 * the delta cost used by the step-2 local search must equal the full
   Manhattan-cost recompute for random move/swap sequences.
 """
@@ -23,7 +26,13 @@ from repro.mapping.cost import (
     manhattan_cost_delta,
 )
 from repro.mapping.mapping import Mapping
-from repro.platform.state import LinkAllocation, PlatformState, ProcessAllocation
+from repro.platform.regions import RegionPartition
+from repro.platform.state import (
+    LinkAllocation,
+    PlatformState,
+    ProcessAllocation,
+    fingerprint_digest,
+)
 from repro.spatialmapper.step1_implementation import select_implementations
 from repro.workloads.synthetic import SyntheticConfig, generate_application, generate_platform
 
@@ -193,6 +202,104 @@ class TestStateAggregates:
             assert state.used_process_slots(tile) == 1
             outer.rollback()
         assert _snapshot(state) == before
+
+
+def _apply_flat(state, ops, processing, links, application=None):
+    """Apply ``ops`` without transactions; infeasible allocations are skipped.
+
+    With ``application`` set every allocation belongs to it and releases
+    are skipped, so the ops only ever add that application's load.
+    """
+    for index, (kind, a, b) in enumerate(ops):
+        name = application or f"app{b}"
+        try:
+            if kind in ("process", "txn_commit"):
+                state.allocate_process(
+                    ProcessAllocation(
+                        name,
+                        f"p{index}",
+                        processing[a % len(processing)],
+                        memory_bytes=(a + 1) * 256,
+                        compute_cycles_per_iteration=float(a) * 10.5,
+                    )
+                )
+            elif kind in ("link", "txn_rollback"):
+                state.allocate_link(
+                    LinkAllocation(name, f"c{index}", links[a % len(links)], (a + 1) * 1e6)
+                )
+            elif application is None:
+                state.release_application(name)
+        except PlatformError:
+            pass
+
+
+class TestFingerprints:
+    @given(operations)
+    @settings(max_examples=40, deadline=None)
+    def test_copy_reproduces_fingerprint_and_digest(self, ops):
+        platform = generate_platform(seed=19, width=3, height=3)
+        state = PlatformState(platform)
+        processing = [t.name for t in platform.processing_tiles()]
+        links = [link.name for link in platform.noc.links]
+        _apply_flat(state, ops, processing, links)
+        clone = state.copy()
+        assert clone.fingerprint() == state.fingerprint()
+        assert fingerprint_digest(clone.fingerprint()) == fingerprint_digest(
+            state.fingerprint()
+        )
+        assert _snapshot(clone) == _snapshot(state)
+        # The copy is independent: mutating it leaves the original alone.
+        before = _snapshot(state)
+        clone.allocate_link(LinkAllocation("clone", "c", links[0], 1.0))
+        assert _snapshot(state) == before
+
+    @given(operations, operations)
+    @settings(max_examples=40, deadline=None)
+    def test_start_then_release_restores_fingerprint(self, base_ops, app_ops):
+        platform = generate_platform(seed=23, width=3, height=3)
+        state = PlatformState(platform)
+        processing = [t.name for t in platform.processing_tiles()]
+        links = [link.name for link in platform.noc.links]
+        _apply_flat(state, base_ops, processing, links)
+        before = state.fingerprint()
+        _apply_flat(state, app_ops, processing, links, application="fresh")
+        state.release_application("fresh")
+        assert state.fingerprint() == before
+        assert "fresh" not in state.applications()
+        _assert_aggregates_consistent(state)
+
+    @given(operations)
+    @settings(max_examples=40, deadline=None)
+    def test_region_fingerprint_ignores_the_other_region(self, ops):
+        platform = generate_platform(seed=29, width=4, height=4)
+        left, right = RegionPartition.grid(platform, 2, 1).regions
+        state = PlatformState(platform)
+        right_tile = right.processing_tile_names()[0]
+        state.allocate_process(ProcessAllocation("base", "p", right_tile, memory_bytes=64))
+        right_before = right.fingerprint(state)
+        _apply_flat(
+            state, ops, list(left.processing_tile_names()), list(left.link_names)
+        )
+        assert right.fingerprint(state) == right_before
+        # Every per-region entry is also an entry of the global fingerprint.
+        assert set(left.fingerprint(state)) | set(right.fingerprint(state)) <= set(
+            state.fingerprint()
+        )
+
+    @given(operations, operations)
+    @settings(max_examples=40, deadline=None)
+    def test_equal_digests_mean_equal_fingerprints(self, first_ops, second_ops):
+        platform = generate_platform(seed=31, width=3, height=3)
+        processing = [t.name for t in platform.processing_tiles()]
+        links = [link.name for link in platform.noc.links]
+        first = PlatformState(platform)
+        second = PlatformState(platform)
+        _apply_flat(first, first_ops, processing, links)
+        _apply_flat(second, second_ops, processing, links)
+        same_digest = fingerprint_digest(first.fingerprint()) == fingerprint_digest(
+            second.fingerprint()
+        )
+        assert same_digest == (first.fingerprint() == second.fingerprint())
 
 
 class TestDeltaCost:

@@ -17,7 +17,6 @@ from repro.runtime.scenario import Scenario
 from tests.harness import (
     MILLISECOND,
     make_app,
-    make_engine,
     make_manager,
     two_region_classes,
     two_region_workload,
@@ -111,7 +110,7 @@ class TestEngineIntegration:
         workload = overloaded_workload()
         manager = make_manager()
         governor = LoadSheddingGovernor(FAST)
-        outcome = make_engine(manager, governor=governor, park_rejections=True).run(
+        outcome = WorkloadEngine(manager, governor=governor, park_rejections=True).run(
             workload
         )
         assert outcome.shed, "overload was expected to trigger shedding"
@@ -129,9 +128,9 @@ class TestEngineIntegration:
     def test_governor_saves_mapper_invocations(self):
         workload = overloaded_workload()
         plain_manager = make_manager()
-        make_engine(plain_manager, park_rejections=True).run(workload)
+        WorkloadEngine(plain_manager, park_rejections=True).run(workload)
         governed_manager = make_manager()
-        governed = make_engine(
+        governed = WorkloadEngine(
             governed_manager,
             governor=LoadSheddingGovernor(FAST),
             park_rejections=True,
@@ -148,7 +147,7 @@ class TestEngineIntegration:
         governor = LoadSheddingGovernor(
             GovernorConfig(rate_floor=0.5, window=8, min_samples=4, mode="defer")
         )
-        outcome = make_engine(manager, governor=governor, park_rejections=True).run(
+        outcome = WorkloadEngine(manager, governor=governor, park_rejections=True).run(
             workload
         )
         # Defer mode never sheds mid-run (no terminal settlements before
@@ -175,7 +174,7 @@ class TestDeferredExpiryObservation:
         # depressed forever (a self-reinforcing shedding loop).
         manager = make_manager()
         governor = LoadSheddingGovernor(FAST)
-        engine = make_engine(manager, governor=governor)
+        engine = WorkloadEngine(manager, governor=governor)
         app = make_app(900, "deferred", "io_l")
         engine.queue.submit(app.als, library=app.library, deadline_ns=10.0)
         _, taken = engine.queue.take(now_ns=0.0)

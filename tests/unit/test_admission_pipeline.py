@@ -13,6 +13,7 @@ from repro.kpn.channel import Channel
 from repro.kpn.graph import KPNGraph
 from repro.kpn.process import Process
 from repro.kpn.qos import QoSConstraints
+from repro.obs.metrics import MetricsRegistry
 from repro.platform.builder import PlatformBuilder
 from repro.platform.regions import RegionPartition
 from repro.platform.state import PlatformState
@@ -497,6 +498,47 @@ class TestQueueTwoPhase:
         queue.requeue(ready)
         assert [r.application for r in queue.pending] == ["first", "second"]
         assert all(r.status is RequestStatus.PENDING for r in queue.pending)
+
+
+class TestClientThreadContract:
+    """Clients submit from their own threads; the queue lock arbitrates."""
+
+    THREADS = 4
+    PER_THREAD = 5
+
+    def _submit_concurrently(self, queue, app):
+        barrier = threading.Barrier(self.THREADS)
+        tickets: list[int] = []
+
+        def client():
+            barrier.wait(timeout=5.0)
+            for _ in range(self.PER_THREAD):
+                tickets.append(queue.submit(app.als, library=app.library))
+
+        threads = [threading.Thread(target=client) for _ in range(self.THREADS)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+        assert not any(thread.is_alive() for thread in threads)
+        return tickets
+
+    def test_concurrent_submits_get_unique_tickets(self, manager):
+        queue = AdmissionQueue(manager)
+        app = make_app(98, "client", "io_l")
+        tickets = self._submit_concurrently(queue, app)
+        assert len(set(tickets)) == self.THREADS * self.PER_THREAD
+        assert sorted(r.ticket for r in queue.pending) == sorted(tickets)
+        assert all(queue.poll(t).status is RequestStatus.PENDING for t in tickets)
+
+    def test_concurrent_submits_count_exactly_into_the_registry(self, manager):
+        queue = AdmissionQueue(manager)
+        queue.metrics = MetricsRegistry()
+        app = make_app(99, "counted", "io_l")
+        self._submit_concurrently(queue, app)
+        expected = self.THREADS * self.PER_THREAD
+        assert queue.metrics.counter_value("queue.submitted") == expected
+        assert len(queue) == expected
 
 
 class TestParkedRejections:

@@ -1,20 +1,33 @@
-"""The discrete-event workload engine and its region executors."""
-
-import threading
+"""The discrete-event workload engine and its region executor."""
 
 import pytest
 
-from repro.exceptions import PlatformError
-from repro.platform.regions import RegionLocks, RegionOwnershipGuard
-from repro.runtime.engine import (
-    SerialRegionExecutor,
-    ThreadedRegionExecutor,
-    WorkloadEngine,
-)
+from repro.platform.regions import RegionPartition
+from repro.runtime.engine import MULTI_REGION_LANE, SerialRegionExecutor, WorkloadEngine
 from repro.runtime.events import ScenarioEvent, StartEvent, StopEvent
+from repro.runtime.pipeline import AdmissionDecision
 from repro.runtime.queue import RequestStatus
 from repro.runtime.scenario import Scenario
-from tests.harness import build_two_region_platform, make_app, make_manager
+from repro.workloads.synthetic import (
+    SyntheticConfig,
+    generate_application,
+    generate_region_mesh,
+)
+from tests.harness import (
+    MILLISECOND,
+    TWO_STAGE_CONFIG,
+    build_two_region_platform,
+    make_app,
+    make_manager,
+    two_region_workload,
+)
+
+#: Applications for the 2x2-region planner mesh.
+PLANNER_CONFIG = SyntheticConfig(stages=4, period_ns=100_000.0, tile_types=("GPP", "DSP"))
+
+
+def _planner_platform():
+    return generate_region_mesh(2, 4)
 
 
 @pytest.fixture()
@@ -97,43 +110,9 @@ class TestEventLoop:
 
 
 class TestTwoPhaseDrain:
-    def test_serial_and_threaded_executors_decide_identically(self):
-        apps = [
-            make_app(40 + index, f"app{index}", "io_l" if index % 2 else "io_r")
-            for index in range(8)
-        ]
-        scenario = Scenario("differential", duration_ns=2_000_000.0)
-        for index, app in enumerate(apps):
-            scenario.add(
-                StartEvent(
-                    time_ns=float(index // 4) * 1_000_000.0,
-                    als=app.als,
-                    library=app.library,
-                )
-            )
-
-        serial_manager = make_manager(build_two_region_platform())
-        serial = WorkloadEngine(serial_manager, executor=SerialRegionExecutor()).run(
-            scenario
-        )
-        threaded_manager = make_manager(build_two_region_platform())
-        threaded = WorkloadEngine(
-            threaded_manager, executor=ThreadedRegionExecutor(threaded_manager.partition)
-        ).run(scenario)
-
-        assert serial.decision_log() == threaded.decision_log()
-        assert serial_manager.decisions == threaded_manager.decisions
-        assert sorted(serial_manager.state.occupied_tiles()) == sorted(
-            threaded_manager.state.occupied_tiles()
-        )
-        assert serial_manager.state.link_loads() == threaded_manager.state.link_loads()
-        assert serial.energy.total_energy_nj == pytest.approx(
-            threaded.energy.total_energy_nj
-        )
-
     def test_duplicate_names_in_one_batch_are_serialized(self, manager):
         # Two same-named arrivals in the same batch, pinned to different
-        # regions: the parallel phase may own at most one; the other must be
+        # regions: the region lanes may own at most one; the other must be
         # rejected as already running, never double-admitted.
         left = make_app(50, "twin", "io_l")
         right = make_app(51, "twin", "io_r")
@@ -142,9 +121,7 @@ class TestTwoPhaseDrain:
             .add(StartEvent(time_ns=0.0, als=left.als, library=left.library))
             .add(StartEvent(time_ns=0.0, als=right.als, library=right.library))
         )
-        outcome = WorkloadEngine(
-            manager, executor=ThreadedRegionExecutor(manager.partition)
-        ).run(scenario)
+        outcome = WorkloadEngine(manager).run(scenario)
         assert len(outcome.admitted) == 1
         assert len(outcome.rejected) == 1
         assert outcome.rejected[0][1] == "application is already running"
@@ -153,10 +130,12 @@ class TestTwoPhaseDrain:
     def test_worker_error_unwinds_and_requeues(self, manager, monkeypatch):
         good = make_app(60, "good", "io_l")
         exploder = make_app(61, "exploder", "io_r")
+        later = make_app(62, "later", "io_r")
         scenario = (
             Scenario("explosive", duration_ns=1_000_000.0)
             .add(StartEvent(time_ns=0.0, als=good.als, library=good.library))
             .add(StartEvent(time_ns=0.0, als=exploder.als, library=exploder.library))
+            .add(StartEvent(time_ns=0.0, als=later.als, library=later.library))
         )
         original_decide = manager.pipeline.decide
 
@@ -169,11 +148,14 @@ class TestTwoPhaseDrain:
         engine = WorkloadEngine(manager)
         with pytest.raises(RuntimeError, match="mapper exploded"):
             engine.run(scenario)
-        # The good lane's decision survived; the exploding request is back in
-        # the queue for a later drain instead of being stranded in flight.
+        # The good lane's decision survived; the exploding request — and the
+        # request queued behind it in the same lane, which the lane abort
+        # left undecided — are back in the queue for a later drain instead
+        # of being stranded in flight.
         assert manager.is_running("good")
-        assert [r.application for r in engine.queue.pending] == ["exploder"]
-        assert engine.queue.pending[0].status is RequestStatus.PENDING
+        assert not manager.is_running("later")
+        assert [r.application for r in engine.queue.pending] == ["exploder", "later"]
+        assert all(r.status is RequestStatus.PENDING for r in engine.queue.pending)
 
 
 class TestParkedRetries:
@@ -230,68 +212,6 @@ class TestParkedRetries:
             )
         outcome = WorkloadEngine(manager, park_rejections=True).run(scenario)
         assert "straggler" in outcome.admitted
-
-
-class TestOwnershipGuard:
-    def test_mutation_without_lock_raises(self, manager):
-        locks = RegionLocks(manager.partition)
-        guard = RegionOwnershipGuard(manager.partition, locks)
-        manager.state.ownership_guard = guard
-        app = make_app(100, "guarded", "io_l")
-        try:
-            with pytest.raises(PlatformError, match="does not hold its lock"):
-                manager.start(app.als, library=app.library)
-        finally:
-            manager.state.ownership_guard = None
-
-    def test_mutation_under_region_lock_passes(self, manager):
-        locks = RegionLocks(manager.partition)
-        guard = RegionOwnershipGuard(manager.partition, locks)
-        app = make_app(101, "guarded", "io_l")
-        manager.state.ownership_guard = guard
-        try:
-            with locks.global_lane():
-                result = manager.start(app.als, library=app.library)
-            assert result.is_feasible
-        finally:
-            manager.state.ownership_guard = None
-
-    def test_region_lock_holder_tracking(self, manager):
-        locks = RegionLocks(manager.partition)
-        assert not locks.holds("r0_0")
-        with locks.region_lane("r0_0"):
-            assert locks.holds("r0_0")
-            assert not locks.holds_all()
-        with locks.global_lane():
-            assert locks.holds_all()
-        assert not locks.holds("r0_0")
-        with pytest.raises(PlatformError):
-            with locks.region_lane("nope"):
-                pass
-
-    def test_guard_blocks_foreign_thread(self, manager):
-        locks = RegionLocks(manager.partition)
-        guard = RegionOwnershipGuard(manager.partition, locks)
-        manager.state.ownership_guard = guard
-        app = make_app(102, "foreign", "io_l")
-        errors = []
-
-        def foreign_start():
-            try:
-                manager.start(app.als, library=app.library)
-            except PlatformError as error:
-                errors.append(error)
-
-        try:
-            with locks.global_lane():
-                # The lock is held by *this* thread; a different thread
-                # mutating the same keys must be rejected by the guard.
-                thread = threading.Thread(target=foreign_start)
-                thread.start()
-                thread.join()
-        finally:
-            manager.state.ownership_guard = None
-        assert errors, "foreign-thread mutation slipped past the ownership guard"
 
 
 class TestOutcomeStatusIndex:
@@ -364,3 +284,318 @@ class TestOutcomeStatusIndex:
             outcome.rejected
             outcome.shed
         assert outcome._status_cache[0] == 10_000
+
+
+class _StubJob:
+    """A region-lane job stand-in that logs when it runs."""
+
+    def __init__(self, log, label, fail=False):
+        self.log = log
+        self.label = label
+        self.fail = fail
+        self.error = None
+
+    def run(self, pipeline):
+        self.log.append((self.label, pipeline))
+        if self.fail:
+            self.error = RuntimeError(self.label)
+
+
+class TestSerialExecutor:
+    def test_lanes_run_in_sorted_name_order(self):
+        log = []
+        lanes = {name: [_StubJob(log, name)] for name in ("r2", "r0", "r1")}
+        SerialRegionExecutor().execute(lanes, "pipeline")
+        assert [label for label, _ in log] == ["r0", "r1", "r2"]
+        assert all(pipeline == "pipeline" for _, pipeline in log)
+
+    def test_requests_keep_their_order_within_a_lane(self):
+        log = []
+        lanes = {"r0": [_StubJob(log, f"job{index}") for index in range(4)]}
+        SerialRegionExecutor().execute(lanes, None)
+        assert [label for label, _ in log] == ["job0", "job1", "job2", "job3"]
+
+    def test_an_error_skips_only_the_rest_of_its_lane(self):
+        log = []
+        lanes = {
+            "r0": [_StubJob(log, "a0"), _StubJob(log, "a1", fail=True), _StubJob(log, "a2")],
+            "r1": [_StubJob(log, "b0"), _StubJob(log, "b1")],
+        }
+        SerialRegionExecutor().execute(lanes, None)
+        assert [label for label, _ in log] == ["a0", "a1", "b0", "b1"]
+        assert lanes["r0"][2].error is None
+
+    def test_engine_defaults_to_the_serial_executor(self, manager):
+        assert isinstance(WorkloadEngine(manager).executor, SerialRegionExecutor)
+
+
+def _spanning_app(seed, name):
+    """An application pinned to both halves: it can only take the global lane."""
+    return generate_application(
+        seed, TWO_STAGE_CONFIG, name=name, source_tile="io_l", sink_tile="io_r"
+    )
+
+
+def _log_pipeline_calls(manager, monkeypatch):
+    """Record (phase, application) for every region-lane decide and full admit."""
+    calls = []
+    original_decide = manager.pipeline.decide
+    original_admit = manager.admit
+
+    def logging_decide(als, library=None, *, candidates=None, **kwargs):
+        if candidates is not None:
+            calls.append(("region", als.name))
+        return original_decide(als, library, candidates=candidates, **kwargs)
+
+    def logging_admit(als, **kwargs):
+        calls.append(("serial", als.name))
+        return original_admit(als, **kwargs)
+
+    monkeypatch.setattr(manager.pipeline, "decide", logging_decide)
+    monkeypatch.setattr(manager, "admit", logging_admit)
+    return calls
+
+
+class TestDrainOrder:
+    def test_region_lanes_decide_before_the_serial_phase(self, manager, monkeypatch):
+        spanning = _spanning_app(100, "spanning")
+        left = make_app(101, "left", "io_l")
+        right = make_app(102, "right", "io_r")
+        scenario = Scenario("order", duration_ns=1_000_000.0)
+        # The global-lane request arrives first, yet runs last.
+        for app in (spanning, left, right):
+            scenario.add(StartEvent(time_ns=0.0, als=app.als, library=app.library))
+        calls = _log_pipeline_calls(manager, monkeypatch)
+        outcome = WorkloadEngine(manager).run(scenario)
+        assert calls[-1] == ("serial", "spanning")
+        assert set(calls[:-1]) == {("region", "left"), ("region", "right")}
+        assert outcome.records[-1].application == "spanning"
+
+    def test_serial_phase_runs_in_arrival_order(self, manager, monkeypatch):
+        apps = [_spanning_app(110 + index, f"spanning{index}") for index in range(3)]
+        scenario = Scenario("serial-order", duration_ns=1_000_000.0)
+        for app in reversed(apps):
+            scenario.add(StartEvent(time_ns=0.0, als=app.als, library=app.library))
+        calls = _log_pipeline_calls(manager, monkeypatch)
+        outcome = WorkloadEngine(manager).run(scenario)
+        arrival = [app.als.name for app in reversed(apps)]
+        assert [name for phase, name in calls if phase == "serial"] == arrival
+        assert [record.application for record in outcome.records] == arrival
+
+    def test_lane_admissions_settle_in_arrival_order(self, manager):
+        apps = [
+            make_app(120, "r_first", "io_r"),
+            make_app(121, "l_second", "io_l"),
+            make_app(122, "r_third", "io_r"),
+        ]
+        scenario = Scenario("settle-order", duration_ns=1_000_000.0)
+        for app in apps:
+            scenario.add(StartEvent(time_ns=0.0, als=app.als, library=app.library))
+        outcome = WorkloadEngine(manager).run(scenario)
+        # Lane "left" runs before lane "right", but finalisation follows
+        # arrival order.
+        assert [record.application for record in outcome.records] == [
+            "r_first",
+            "l_second",
+            "r_third",
+        ]
+        assert [record.ticket for record in outcome.records] == sorted(
+            record.ticket for record in outcome.records
+        )
+
+
+class TestFailedDrainRecovery:
+    def _explosive(self, manager, monkeypatch):
+        good = make_app(130, "good", "io_l")
+        exploder = make_app(131, "exploder", "io_r")
+        scenario = (
+            Scenario("explosive", duration_ns=1_000_000.0)
+            .add(StartEvent(time_ns=0.0, als=good.als, library=good.library))
+            .add(StartEvent(time_ns=0.0, als=exploder.als, library=exploder.library))
+        )
+        original_decide = manager.pipeline.decide
+
+        def exploding_decide(als, library=None, *, candidates=None, trace=None):
+            if als.name == "exploder":
+                raise RuntimeError("mapper exploded")
+            return original_decide(als, library, candidates=candidates, trace=trace)
+
+        monkeypatch.setattr(manager.pipeline, "decide", exploding_decide)
+        engine = WorkloadEngine(manager)
+        with pytest.raises(RuntimeError, match="mapper exploded"):
+            engine.run(scenario)
+        monkeypatch.setattr(manager.pipeline, "decide", original_decide)
+        return engine
+
+    def test_failed_drain_leaves_nothing_in_flight(self, manager, monkeypatch):
+        engine = self._explosive(manager, monkeypatch)
+        exploder = engine.queue.pending[0]
+        assert engine.queue.poll(exploder.ticket).status is RequestStatus.PENDING
+        assert all(
+            request.status is not RequestStatus.IN_FLIGHT
+            for request in engine.queue.pending
+        )
+
+    def test_the_same_engine_runs_again_after_a_failed_drain(self, manager, monkeypatch):
+        engine = self._explosive(manager, monkeypatch)
+        newcomer = make_app(132, "newcomer", "io_l")
+        scenario = Scenario("after", duration_ns=1_000_000.0).add(
+            StartEvent(time_ns=0.0, als=newcomer.als, library=newcomer.library)
+        )
+        outcome = engine.run(scenario)
+        # The requeued request is decided by the next run's first drain.
+        assert sorted(outcome.admitted) == ["exploder", "newcomer"]
+        assert len(engine.queue) == 0
+        assert manager.is_running("good")
+
+    def test_multi_region_lane_error_unwinds_and_requeues(self, monkeypatch):
+        platform = _planner_platform()
+        manager = make_manager(
+            platform,
+            partition=RegionPartition.grid(platform, 2, 2),
+            cross_region_planner=True,
+        )
+        local = generate_application(
+            140, PLANNER_CONFIG, name="local", source_tile="io_r0_0", sink_tile="io_r0_0"
+        )
+        spanning = generate_application(
+            141, PLANNER_CONFIG, name="spanning", source_tile="io_r0_0", sink_tile="io_r1_1"
+        )
+        scenario = (
+            Scenario("planner-explodes", duration_ns=1_000_000.0)
+            .add(StartEvent(time_ns=0.0, als=local.als, library=local.library))
+            .add(StartEvent(time_ns=0.0, als=spanning.als, library=spanning.library))
+        )
+
+        def exploding_plan(als, library=None, *, scope=None):
+            raise RuntimeError("planner exploded")
+
+        monkeypatch.setattr(manager.pipeline, "decide_interregion", exploding_plan)
+        engine = WorkloadEngine(manager)
+        with pytest.raises(RuntimeError, match="planner exploded"):
+            engine.run(scenario)
+        assert manager.is_running("local")
+        assert [request.application for request in engine.queue.pending] == ["spanning"]
+        assert engine.queue.pending[0].status is RequestStatus.PENDING
+
+
+def _vetoed(als):
+    """A planner rejection, as the multi-region lane would receive it."""
+    return AdmissionDecision(als.name, False, "inter-region: test veto", origin="interregion")
+
+
+class TestMultiRegionLane:
+    @staticmethod
+    def _planner_manager():
+        platform = _planner_platform()
+        return make_manager(
+            platform,
+            partition=RegionPartition.grid(platform, 2, 2),
+            cross_region_planner=True,
+        )
+
+    @staticmethod
+    def _scenario():
+        local = generate_application(
+            150, PLANNER_CONFIG, name="local", source_tile="io_r0_0", sink_tile="io_r0_0"
+        )
+        spanning = generate_application(
+            151, PLANNER_CONFIG, name="spanning", source_tile="io_r0_0", sink_tile="io_r1_1"
+        )
+        scenario = (
+            Scenario("multi", duration_ns=1_000_000.0)
+            .add(StartEvent(time_ns=0.0, als=spanning.als, library=spanning.library))
+            .add(StartEvent(time_ns=0.0, als=local.als, library=local.library))
+        )
+        return scenario, spanning
+
+    def test_the_lane_plans_with_the_planner_scope(self, monkeypatch):
+        manager = self._planner_manager()
+        scenario, spanning = self._scenario()
+        expected = manager.pipeline.interregion.scope_for(spanning.als)
+        scopes = []
+        original = manager.pipeline.decide_interregion
+
+        def recording_plan(als, library=None, *, scope=None):
+            scopes.append((als.name, scope))
+            return original(als, library, scope=scope)
+
+        monkeypatch.setattr(manager.pipeline, "decide_interregion", recording_plan)
+        outcome = WorkloadEngine(manager).run(scenario)
+        assert scopes == [("spanning", expected)]
+        assert outcome.telemetry.lanes[MULTI_REGION_LANE].admitted == 1
+
+    def test_the_lane_runs_between_region_lanes_and_serial_phase(self, monkeypatch):
+        manager = self._planner_manager()
+        scenario, _ = self._scenario()
+        calls = _log_pipeline_calls(manager, monkeypatch)
+        original = manager.pipeline.decide_interregion
+
+        def rejecting_plan(als, library=None, *, scope=None):
+            calls.append(("multi", als.name))
+            original(als, library, scope=scope)
+            return _vetoed(als)
+
+        monkeypatch.setattr(manager.pipeline, "decide_interregion", rejecting_plan)
+        WorkloadEngine(manager).run(scenario)
+        # The spanning request arrived first but is planned after the
+        # region lane; its planner rejection then joins the serial phase.
+        assert calls == [
+            ("region", "local"),
+            ("multi", "spanning"),
+            ("serial", "spanning"),
+        ]
+
+    def test_a_planner_rejection_is_not_replanned_in_the_serial_phase(
+        self, monkeypatch
+    ):
+        manager = self._planner_manager()
+        scenario, _ = self._scenario()
+        serial_flags = []
+        original_admit = manager.admit
+
+        def recording_admit(als, **kwargs):
+            serial_flags.append((als.name, kwargs.get("interregion", True)))
+            return original_admit(als, **kwargs)
+
+        def rejecting_plan(als, library=None, *, scope=None):
+            return _vetoed(als)
+
+        monkeypatch.setattr(manager, "admit", recording_admit)
+        monkeypatch.setattr(manager.pipeline, "decide_interregion", rejecting_plan)
+        outcome = WorkloadEngine(manager).run(scenario)
+        assert serial_flags == [("spanning", False)]
+        assert MULTI_REGION_LANE not in outcome.telemetry.lanes
+
+
+class TestRunTelemetry:
+    def _workload(self, seed, name):
+        return two_region_workload(seed, 6 * MILLISECOND, name=name)
+
+    def test_lane_counters_account_for_every_record(self, manager):
+        outcome = WorkloadEngine(manager, park_rejections=True).run(
+            self._workload(3, "lanes")
+        )
+        lanes = outcome.telemetry.lanes
+        assert sum(counters.settled() for counters in lanes.values()) == len(
+            outcome.records
+        )
+        assert sum(counters.admitted for counters in lanes.values()) == len(
+            outcome.admitted
+        )
+
+    def test_analysis_telemetry_is_a_per_run_delta(self, manager):
+        analysis = manager.pipeline.analysis
+        start = analysis.snapshot()
+        engine = WorkloadEngine(manager)
+        first = engine.run(self._workload(4, "first")).telemetry.analysis
+        second = engine.run(self._workload(5, "second")).telemetry.analysis
+        end = analysis.snapshot()
+        assert first["simulations_run"] > 0
+        for key in end:
+            assert first[key] + second[key] == end[key] - start[key]
+
+    def test_drain_time_is_part_of_the_run_time(self, manager):
+        outcome = WorkloadEngine(manager).run(self._workload(6, "walls"))
+        assert outcome.drains > 0
+        assert 0.0 < outcome.drain_wall_s <= outcome.wall_clock_s

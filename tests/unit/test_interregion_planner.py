@@ -164,3 +164,68 @@ class TestCorridorScope:
         assert not scope.covers_link(boundary[1])
         outside = partition.region("r1_1")
         assert not scope.covers_tile(outside.tile_names[0])
+
+    @staticmethod
+    def _plan_digest(manager, decision):
+        assert decision.admitted, decision.reason
+        mapping = decision.result.mapping
+        return (
+            tuple((a.process, a.tile) for a in mapping.assignments),
+            tuple((r.channel, r.path) for r in mapping.routes),
+            manager.state.fingerprint(),
+            manager.pipeline.interregion.budgets.fingerprint(),
+        )
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_explicit_scope_decides_like_the_recomputed_one(self, seed):
+        app = cross_app(seed, "scoped")
+        explicit = make_manager()
+        planner = explicit.pipeline.interregion
+        scoped = planner.decide(app.als, app.library, scope=planner.scope_for(app.als))
+        recomputed = make_manager()
+        unscoped = recomputed.pipeline.interregion.decide(app.als, app.library)
+        assert self._plan_digest(explicit, scoped) == self._plan_digest(
+            recomputed, unscoped
+        )
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_admitted_plan_stays_inside_its_scope(self, seed):
+        manager = make_manager()
+        planner = manager.pipeline.interregion
+        partition = manager.partition
+        app = cross_app(seed, "confined")
+        scope = planner.scope_for(app.als)
+        decision = planner.decide(app.als, app.library, scope=scope)
+        assert decision.admitted, decision.reason
+        regions = [partition.region(name) for name in scope]
+        for tile in manager.state.occupied_tiles():
+            assert any(region.covers_tile(tile) for region in regions), tile
+        boundary = {
+            link
+            for source in scope
+            for target in scope
+            for link in planner.budgets.links_between(source, target)
+        }
+        for link in manager.state.link_loads():
+            assert link in boundary or any(
+                region.covers_link(link) for region in regions
+            ), link
+        for pair in planner.budgets.pairs():
+            if planner.budgets.reserved_bits_per_s(*pair) > 0:
+                assert set(pair) <= set(scope)
+
+    def test_scope_without_a_connecting_path_rejects_cleanly(self):
+        manager = make_manager()
+        planner = manager.pipeline.interregion
+        app = cross_app(12, "cut_off")
+        state_before = manager.state.fingerprint()
+        budgets_before = planner.budgets.fingerprint()
+        # Diagonal anchors share no boundary: without an intermediate
+        # region in scope there is no corridor to reserve.
+        decision = planner.decide(app.als, app.library, scope=("r0_0", "r1_1"))
+        assert not decision.admitted
+        assert decision.reason.startswith("inter-region:")
+        assert manager.state.fingerprint() == state_before
+        assert planner.budgets.fingerprint() == budgets_before
+        # The planner's own scope includes the intermediate region and admits.
+        assert planner.decide(app.als, app.library).admitted

@@ -1,13 +1,14 @@
 """Unit tests of the observability layer: tracer, metrics, export, report.
 
 These pin the obs package's own contracts — span identity, deterministic
-sampling, re-anchoring geometry, the registry's fold discipline, export
+sampling, the registry's fold discipline, export
 round-trips and the validator's teeth — independently of the engine
 integration (covered by ``tests/integration/test_obs_pipeline.py``).
 """
 
 import io
 import json
+import threading
 
 import pytest
 
@@ -18,7 +19,6 @@ from repro.obs import (
     TraceContext,
     Tracer,
     read_export,
-    reanchor_spans,
     validate_export,
     write_export,
 )
@@ -101,33 +101,31 @@ class TestTracer:
         assert ctx.parent_span_id is None  # original untouched
 
 
-class TestReanchor:
-    def _span(self, start, end, name="s", span_id="w:1"):
-        return SpanRecord("t", span_id, None, name, "w", start, end)
-
-    def test_offsets_batch_onto_window_start(self):
-        spans = [self._span(1_000_000, 1_000_400, span_id="w:1"),
-                 self._span(1_000_100, 1_000_300, span_id="w:2")]
-        out = reanchor_spans(spans, window_start_ns=50_000, window_end_ns=51_000)
-        assert out[0].start_ns == 50_000  # earliest start lands on window start
-        # relative distances preserved exactly
-        assert out[1].start_ns - out[0].start_ns == 100
-        assert out[1].end_ns - out[1].start_ns == 200
-        assert all(dict(s.attrs)["reanchored"] for s in out)
-
-    def test_clamped_into_window(self):
-        spans = [self._span(0, 10_000)]
-        out = reanchor_spans(spans, window_start_ns=100, window_end_ns=500)
-        assert out[0].start_ns >= 100 and out[0].end_ns <= 500
-        assert out[0].end_ns >= out[0].start_ns
-
-    def test_empty_batch(self):
-        assert reanchor_spans([], window_start_ns=0, window_end_ns=1) == []
-
-
 # --------------------------------------------------------------------------- #
 # Metrics
 # --------------------------------------------------------------------------- #
+    def test_concurrent_recording_keeps_every_span_once(self):
+        # Client threads and the engine thread may record into one tracer.
+        tracer = Tracer(ObsConfig())
+        barrier = threading.Barrier(4)
+
+        def client(index):
+            barrier.wait(timeout=5.0)
+            context = tracer.context_for(f"w:{index}")
+            for step in range(200):
+                tracer.record("step", context, step, step + 1)
+
+        threads = [threading.Thread(target=client, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+        spans = tracer.drain()
+        assert len(spans) == 800
+        assert len({span.span_id for span in spans}) == 800
+        assert {span.trace_id for span in spans} == {f"w:{i}" for i in range(4)}
+
+
 class TestMetricsRegistry:
     def test_counter_accumulates(self):
         registry = MetricsRegistry()
@@ -135,6 +133,24 @@ class TestMetricsRegistry:
         registry.count("a", 2.0)
         assert registry.counter_value("a") == 3.0
         assert registry.counter_value("missing") == 0
+
+    def test_concurrent_counts_and_observations_are_exact(self):
+        registry = MetricsRegistry()
+        barrier = threading.Barrier(4)
+
+        def client():
+            barrier.wait(timeout=5.0)
+            for _ in range(500):
+                registry.count("clients.calls")
+                registry.observe("clients.latency_s", 0.001)
+
+        threads = [threading.Thread(target=client) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+        assert registry.counter_value("clients.calls") == 2000
+        assert registry.histogram_for("clients.latency_s").count == 2000
 
     def test_gauge_fold_takes_max(self):
         a, b = MetricsRegistry(), MetricsRegistry()

@@ -174,3 +174,70 @@ class TestScopedTransactions:
                     )
                 )
         assert state.link_load_bits_per_s(cross) == 0.0
+
+
+def _fill_region(state, region, application):
+    """One process on every processing tile and 1 Mbit/s on every internal link."""
+    for index, tile in enumerate(region.processing_tile_names()):
+        state.allocate_process(_alloc(tile, application=application, process=f"p{index}"))
+    for index, link in enumerate(region.link_names):
+        state.allocate_link(
+            LinkAllocation(
+                application=application, channel=f"c{index}", link=link, bits_per_s=1e6
+            )
+        )
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["left", "right"])
+class TestRegionIsolation:
+    def test_scoped_rollback_restores_the_state_bit_identically(
+        self, platform, halves, side
+    ):
+        region = halves.regions[side]
+        state = PlatformState(platform)
+        _fill_region(state, halves.regions[0], "base_l")
+        _fill_region(state, halves.regions[1], "base_r")
+        before = state.fingerprint()
+        with state.transaction(region) as txn:
+            state.release_application("base_l" if side == 0 else "base_r")
+            _fill_region(state, region, "tentative")
+            txn.rollback()
+        assert state.fingerprint() == before
+        assert region.fingerprint(state) == state.fingerprint(
+            region.tile_names, region.link_names
+        )
+
+    def test_scoped_commit_leaves_the_other_region_unmoved(self, platform, halves, side):
+        region = halves.regions[side]
+        other = halves.regions[1 - side]
+        state = PlatformState(platform)
+        _fill_region(state, other, "neighbour")
+        other_before = other.fingerprint(state)
+        own_before = region.fingerprint(state)
+        with state.transaction(region):
+            _fill_region(state, region, "admitted")
+        assert other.fingerprint(state) == other_before
+        assert region.fingerprint(state) != own_before
+
+    def test_region_scope_inside_a_global_transaction_folds_into_it(
+        self, platform, halves, side
+    ):
+        region = halves.regions[side]
+        state = PlatformState(platform)
+        before = state.fingerprint()
+        with state.transaction() as outer:
+            with state.transaction(region):
+                _fill_region(state, region, "inner")
+            assert state.fingerprint() != before
+            outer.rollback()
+        assert state.fingerprint() == before
+
+    def test_scoped_commit_equals_the_unjournaled_mutation(self, platform, halves, side):
+        region = halves.regions[side]
+        journaled = PlatformState(platform)
+        plain = PlatformState(platform)
+        with journaled.transaction(region):
+            _fill_region(journaled, region, "app")
+        _fill_region(plain, region, "app")
+        assert journaled.fingerprint() == plain.fingerprint()
+        assert not journaled.in_transaction
