@@ -31,6 +31,7 @@ import os
 
 import pytest
 
+from repro.obs.metrics import pivot
 from repro.platform.regions import GLOBAL_LANE, RegionPartition
 from repro.runtime.engine import MULTI_REGION_LANE, SerialRegionExecutor, WorkloadEngine
 from repro.runtime.manager import RuntimeResourceManager
@@ -107,15 +108,18 @@ def run_config(workload, *, cross_region_planner):
 
 
 def lane_summary(outcome):
-    """Per-lane settled counts of one run."""
+    """Per-lane settled counts of one run, from its metrics registry."""
+    lanes = pivot(outcome.metrics["counters"], "engine.settled", "lane", "status")
     return {
         lane: {
-            "admitted": counters.admitted,
-            "rejected": counters.rejected,
-            "expired": counters.expired,
-            "settled": counters.settled(),
+            "admitted": int(statuses.get("admitted", 0)),
+            "rejected": int(statuses.get("rejected", 0)),
+            "expired": int(statuses.get("expired", 0)),
+            "settled": int(
+                sum(count for status, count in statuses.items() if status != "parked")
+            ),
         }
-        for lane, counters in sorted(outcome.telemetry.lanes.items())
+        for lane, statuses in sorted(lanes.items())
     }
 
 

@@ -16,7 +16,7 @@ Run with:  python examples/multi_application_runtime.py
 """
 
 from repro import MapperConfig, ObsConfig, RuntimeResourceManager, WorkloadEngine
-from repro.obs.metrics import split_name
+from repro.obs.metrics import pivot, split_name
 from repro.platform.regions import RegionPartition
 from repro.reporting import format_table
 from repro.runtime.admission_control import GovernorConfig, LoadSheddingGovernor
@@ -95,17 +95,13 @@ def run_workload(load_factor):
 def print_telemetry(outcome):
     """Render every telemetry table from the run's metrics registry snapshot.
 
-    One source: the engine's folded :class:`~repro.obs.MetricsRegistry`
+    One source: the run's :class:`~repro.obs.MetricsRegistry`
     (``outcome.metrics``) — lane settlements and step-4 analysis work both
     arrive through the same registry, so the tables below are pivots of one
     flat counter namespace.
     """
     counters = outcome.metrics["counters"]
-    lanes = {}
-    for name, value in counters.items():
-        base, labels = split_name(name)
-        if base == "engine.settled":
-            lanes.setdefault(labels["lane"], {})[labels["status"]] = value
+    lanes = pivot(counters, "engine.settled", "lane", "status")
     print(format_table(
         ["Lane", "Admitted", "Rejected", "Expired", "Parked"],
         [
@@ -198,11 +194,17 @@ def print_shedding_comparison():
                 str(len(outcome.expired)),
             )
         )
-        if outcome.telemetry.governor is not None:
-            snapshot = outcome.telemetry.governor
+        counters = outcome.metrics["counters"]
+        if "governor.shed" in counters:
+            rates = {}
+            for name, value in outcome.metrics["gauges"].items():
+                base, labels = split_name(name)
+                if base == "governor.admission_rate" and "priority" in labels:
+                    rates[int(labels["priority"])] = value
             print(
-                f"  governor: shed={snapshot['shed']} transitions={snapshot['transitions']} "
-                f"windowed rates={snapshot['rate_by_priority']}"
+                f"  governor: shed={int(counters['governor.shed'])} "
+                f"transitions={int(counters['governor.transitions'])} "
+                f"windowed rates={dict(sorted(rates.items()))}"
             )
     print(format_table(
         ["Config", "High-prio admit", "Low-prio admit", "Shed", "Expired"],

@@ -25,7 +25,7 @@ don't need:
   the raw analysis functions.  It adds early-exit simulation, caching,
   gain-ordered budgeted buffer minimisation with a monotone warm-start
   ledger, and the observability counters surfaced by ``MapperTrace`` and
-  ``EngineTelemetry``.
+  the workload engine's per-run ``analysis.*`` metrics.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ class AnalysisEngine:
     cache accumulates verdicts across probes, refinement iterations and
     admission requests, and its counters are the source of the
     ``simulations_run`` / ``simulated_events`` / ``cache_hits`` /
-    ``budget_exhausted`` observability surfaced in traces and telemetry.
+    ``budget_exhausted`` observability surfaced in traces and run metrics.
 
     Decision identity: with unlimited budgets every method returns exactly
     what the underlying uncached analysis returns (early exits are
@@ -213,16 +213,6 @@ class AnalysisEngine:
             "cache_hits": self.cache_hits,
             "budget_exhausted": self.budget_exhausted,
         }
-
-    def publish_metrics(self, registry, counters: dict[str, int] | None = None) -> None:
-        """Publish analysis counters (default: a fresh snapshot) into a registry.
-
-        Callers that account per-run deltas (the workload engine) pass the
-        delta dict; the counter names match the snapshot keys under the
-        ``analysis.`` prefix.
-        """
-        for key, value in (counters if counters is not None else self.snapshot()).items():
-            registry.count(f"analysis.{key}", float(value))
 
     def _count_simulation(self, events: int) -> None:
         self.simulations_run += 1

@@ -4,14 +4,14 @@ The admission path's one answer to "where did this request's 40 ms go?":
 
 * :mod:`~repro.obs.trace` — per-request span trees with deterministic
   head-based sampling.
-* :mod:`~repro.obs.metrics` — counters / gauges / fixed-bucket histograms
-  with one associative fold replacing the runtime's bespoke merge paths.
+* :mod:`~repro.obs.metrics` — counters / gauges / fixed-bucket histograms:
+  the one store of what an engine run did.
 * :mod:`~repro.obs.export` — versioned JSONL export and its validator.
 * :mod:`~repro.obs.report` — ``python -m repro.obs.report`` latency CLI.
 """
 
 from .export import SCHEMA_VERSION, read_export, validate_export, write_export
-from .metrics import DEFAULT_LATENCY_BUCKETS_S, Histogram, MetricsRegistry, fold_snapshots
+from .metrics import DEFAULT_LATENCY_BUCKETS_S, Histogram, MetricsRegistry
 from .trace import (
     NULL_TRACER,
     ObsConfig,
@@ -32,7 +32,6 @@ __all__ = [
     "SpanRecord",
     "TraceContext",
     "Tracer",
-    "fold_snapshots",
     "read_export",
     "validate_export",
     "write_export",

@@ -1,17 +1,13 @@
-"""Process-local metrics with one associative fold.
+"""The run's metrics registry: counters, gauges and histograms.
 
-A :class:`MetricsRegistry` holds three instrument kinds and merges
-registries with a single :meth:`~MetricsRegistry.fold`:
+A :class:`MetricsRegistry` holds three instrument kinds:
 
-* **counters** — monotone sums; fold adds.
-* **gauges** — point-in-time levels; fold takes the max, *not* the last
-  write, so folding is commutative (order-independence is property-tested).
-* **histograms** — fixed-bucket latency distributions; fold adds
-  bucket-wise and sums ``sum``/``count``.
+* **counters** — monotone sums;
+* **gauges** — point-in-time levels (the last write wins);
+* **histograms** — fixed-bucket latency distributions.
 
-All three folds are associative and commutative, so snapshots of several
-runs merge in any order with no special-casing per metric family.
-
+The workload engine builds one registry per run and every component counts
+into it, so a run's snapshot is the one record of what that run did.
 Snapshots are plain ``dict``s of primitives, JSON-able for the export
 file.
 """
@@ -25,12 +21,11 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS_S",
     "Histogram",
     "MetricsRegistry",
-    "fold_snapshots",
 ]
 
 #: Default latency buckets (seconds): 100 µs .. 10 s, roughly geometric.
-#: Fixed buckets — never derived from observed data — so histograms from
-#: different processes always fold bucket-to-bucket.
+#: Fixed buckets — never derived from observed data — so histograms of
+#: different runs compare bucket to bucket.
 DEFAULT_LATENCY_BUCKETS_S: tuple[float, ...] = (
     0.0001,
     0.00025,
@@ -92,7 +87,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Counters, gauges and histograms for one process.
+    """Counters, gauges and histograms; the workload engine builds one per run.
 
     Thread-safe: :meth:`AdmissionQueue.submit
     <repro.runtime.queue.AdmissionQueue.submit>` counts into the registry
@@ -144,52 +139,11 @@ class MetricsRegistry:
                 },
             }
 
-    def fold(self, snapshot: dict[str, dict[str, object]]) -> None:
-        """Merge a foreign snapshot in: the one merge path.
-
-        Counter folds add, gauge folds take the max, histogram folds add
-        bucket-wise — all associative and commutative, so snapshots may
-        arrive in any order (property-tested).
-        """
-        counters = snapshot.get("counters", {})
-        gauges = snapshot.get("gauges", {})
-        histograms = snapshot.get("histograms", {})
-        with self._lock:
-            for name, value in counters.items():
-                self._counters[name] = self._counters.get(name, 0) + value
-            for name, value in gauges.items():
-                current = self._gauges.get(name)
-                self._gauges[name] = value if current is None else max(current, value)
-            for name, data in histograms.items():
-                histogram = self._histograms.get(name)
-                if histogram is None:
-                    histogram = self._histograms[name] = Histogram(
-                        tuple(data["bounds"])
-                    )
-                if tuple(data["bounds"]) != histogram.bounds:
-                    raise ValueError(
-                        f"histogram {name!r}: bucket bounds mismatch on fold"
-                    )
-                for index, hits in enumerate(data["buckets"]):
-                    histogram.buckets[index] += hits
-                histogram.sum += data["sum"]
-                histogram.count += data["count"]
-
     def __len__(self) -> int:
         with self._lock:
             return (
                 len(self._counters) + len(self._gauges) + len(self._histograms)
             )
-
-
-def fold_snapshots(
-    snapshots: list[dict[str, dict[str, object]]],
-) -> dict[str, dict[str, object]]:
-    """Fold plain snapshot dicts without building registries (test helper)."""
-    registry = MetricsRegistry()
-    for snapshot in snapshots:
-        registry.fold(snapshot)
-    return registry.snapshot()
 
 
 def split_name(name: str) -> tuple[str, dict[str, str]]:
@@ -203,3 +157,19 @@ def split_name(name: str) -> tuple[str, dict[str, str]]:
             key, _, value = pair.partition("=")
             labels[key] = value
     return base, labels
+
+
+def pivot(
+    counters: dict[str, float], base: str, row: str, column: str
+) -> dict[str, dict[str, float]]:
+    """Counters named ``base[row=…,column=…]`` as ``{row value: {column value: count}}``.
+
+    ``pivot(counters, "engine.settled", "lane", "status")`` is a run's
+    settlement table, lane by lane.
+    """
+    table: dict[str, dict[str, float]] = {}
+    for name, value in counters.items():
+        name_base, labels = split_name(name)
+        if name_base == base:
+            table.setdefault(labels[row], {})[labels[column]] = value
+    return table

@@ -1,7 +1,7 @@
 """Request-scoped tracing for the admission path.
 
-Lane counters and analysis counters answer *aggregate* questions; neither
-answers "where did *this* request's 40 ms go?".  This module is that
+The run's metrics registry answers *aggregate* questions; it cannot
+answer "where did *this* request's 40 ms go?".  This module is that
 answer: a :class:`Tracer` produces per-request **span trees** keyed by a
 stable trace id (workload + ticket), with one span per pipeline stage —
 queue wait, governor check, region selection, cache lookup, the four mapper
@@ -46,8 +46,9 @@ class ObsConfig:
     Parameters
     ----------
     enabled:
-        Master switch.  Disabled, every tracer operation is a guarded
-        no-op and the engine publishes no spans or metrics.
+        Master switch of tracing.  Disabled, every tracer operation is a
+        guarded no-op and the engine records no spans.  The engine's
+        per-run metrics registry does not depend on it.
     sample_rate:
         Head-based sampling probability in ``[0, 1]``.  The sampling
         decision is a pure hash of ``(seed, trace_id)`` — deterministic
@@ -56,15 +57,11 @@ class ObsConfig:
     seed:
         Salt of the sampling hash; two runs with equal seeds sample the
         same trace ids.
-    metrics:
-        Whether the engine also publishes the run's
-        :class:`~repro.obs.metrics.MetricsRegistry`.
     """
 
     enabled: bool = True
     sample_rate: float = 1.0
     seed: int = 0
-    metrics: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.sample_rate <= 1.0:
@@ -154,8 +151,8 @@ class Tracer:
     def sampled(self, trace_id: str) -> bool:
         """Head-based sampling verdict for one trace id.
 
-        A pure, seeded hash — deterministic across runs and processes, and
-        independent of any decision-bearing RNG.  ``sample_rate=1.0``
+        A pure, seeded hash — deterministic across runs, and independent
+        of any decision-bearing RNG.  ``sample_rate=1.0``
         traces everything, ``0.0`` nothing.
         """
         if not self.config.enabled:

@@ -27,8 +27,6 @@ from repro.runtime.engine import (
     MULTI_REGION_LANE,
     EngineOutcome,
     EngineRecord,
-    EngineTelemetry,
-    LaneCounters,
     SerialRegionExecutor,
     WorkloadEngine,
 )
@@ -53,8 +51,6 @@ __all__ = [
     "WorkloadEngine",
     "EngineOutcome",
     "EngineRecord",
-    "EngineTelemetry",
-    "LaneCounters",
     "MULTI_REGION_LANE",
     "SerialRegionExecutor",
     "Scenario",

@@ -33,10 +33,13 @@ events make identical shedding decisions:
   low-priority traffic flowing while protecting the rest.
 
 Per-priority-class windowed rates are tracked alongside the aggregate and
-surfaced through :meth:`LoadSheddingGovernor.snapshot` into the engine's
-telemetry.  A governor with ``enabled=False`` (or no governor at all) is
-*decision-inert*: the engine's outcomes are bit-identical to the pre-governor
-engine — pinned by differential test.
+surfaced through :meth:`LoadSheddingGovernor.snapshot`; the workload engine
+publishes them as gauges of the run's metrics registry, next to the run's
+``governor.shed`` / ``deferred`` / ``transitions`` counts.
+
+A governor with ``enabled=False`` (or no governor at all) is
+*decision-inert*: the engine's outcomes are bit-identical to the
+pre-governor engine — pinned by differential test.
 """
 
 from __future__ import annotations
@@ -120,7 +123,8 @@ class LoadSheddingGovernor:
         self._samples: deque[bool] = deque(maxlen=self.config.window)
         self._by_priority: dict[int, deque[bool]] = {}
         self._shedding = False
-        #: Lifetime counters (surfaced into engine telemetry).
+        #: Lifetime counters; each engine run counts its delta of them into
+        #: the run's metrics registry.
         self.shed_count = 0
         self.deferred_count = 0
         self.transitions = 0
@@ -200,18 +204,16 @@ class LoadSheddingGovernor:
             "transitions": self.transitions,
         }
 
-    def publish_metrics(self, registry) -> None:
-        """Publish the governor's snapshot into a metrics registry.
+    def publish_gauges(self, registry) -> None:
+        """Publish the governor's state and windowed rates as registry gauges.
 
-        Rates and state are gauges (max-folded across snapshots), lifetime
-        counters are counters — the registry's one fold discipline.
+        Its lifetime counters (``shed``, ``deferred``, ``transitions``) are
+        not published here: the workload engine counts each run's delta of
+        them into the run's registry.
         """
         snapshot = self.snapshot()
         registry.gauge("governor.admission_rate", float(snapshot["aggregate_rate"]))
         registry.gauge("governor.shedding", 1.0 if snapshot["shedding"] else 0.0)
-        registry.count("governor.shed", float(snapshot["shed"]))
-        registry.count("governor.deferred", float(snapshot["deferred"]))
-        registry.count("governor.transitions", float(snapshot["transitions"]))
         for priority, rate in snapshot["rate_by_priority"].items():
             registry.gauge(
                 f"governor.admission_rate[priority={priority}]", float(rate)

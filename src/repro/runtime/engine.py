@@ -41,9 +41,13 @@ a **multi-region lane** and a **global lane**:
    the **full** pipeline, in arrival order.
 
 Finalisation (audit trail, running registry, queue settlement, energy
-accounting) happens in arrival order after the lanes ran.  Per-lane
-telemetry (admissions, rejections, expiries, parked retries) is
-accumulated on the :class:`EngineOutcome` (:attr:`EngineOutcome.telemetry`).
+accounting) happens in arrival order after the lanes ran.
+
+Every run counts what it did into one per-run
+:class:`~repro.obs.metrics.MetricsRegistry`, whose snapshot lands on
+:attr:`EngineOutcome.metrics`: settlements per lane and status
+(``engine.settled[lane=…,status=…]``), queue and pipeline counters, and the
+run's share of the analysis engine's and the governor's lifetime counters.
 """
 
 from __future__ import annotations
@@ -75,8 +79,6 @@ __all__ = [
     "WorkloadEngine",
     "EngineOutcome",
     "EngineRecord",
-    "EngineTelemetry",
-    "LaneCounters",
     "MULTI_REGION_LANE",
     "SerialRegionExecutor",
 ]
@@ -158,64 +160,6 @@ class SerialRegionExecutor:
 # --------------------------------------------------------------------------- #
 # Outcome bookkeeping
 # --------------------------------------------------------------------------- #
-@dataclass
-class LaneCounters:
-    """Per-lane settlement counters of one engine run."""
-
-    admitted: int = 0
-    rejected: int = 0
-    expired: int = 0
-    cancelled: int = 0
-    parked: int = 0
-    shed: int = 0
-
-    def settled(self) -> int:
-        """Requests this lane settled terminally."""
-        return self.admitted + self.rejected + self.expired + self.cancelled + self.shed
-
-
-@dataclass
-class EngineTelemetry:
-    """Observability counters of one engine run.
-
-    ``lanes`` is keyed by the lane that *settled* the request: a region
-    name for region-lane admissions, :data:`MULTI_REGION_LANE` for the
-    inter-region planner lane, :data:`~repro.platform.regions.GLOBAL_LANE`
-    for the serial phase.  Parked retries count against the request's home
-    lane.
-    """
-
-    lanes: dict[str, LaneCounters] = field(default_factory=dict)
-    #: Final :meth:`LoadSheddingGovernor.snapshot` of the run's governor
-    #: (``None`` when the engine ran without one).
-    governor: dict | None = None
-    #: Step-4 analysis work of this run: ``simulations_run`` /
-    #: ``simulated_events`` (real simulations only), ``cache_hits`` (verdicts
-    #: replayed without simulating) and ``budget_exhausted`` (minimisations
-    #: degraded to sufficient capacities), as the delta of the engine-side
-    #: pipeline's :class:`~repro.csdf.analysis.budget.AnalysisEngine`
-    #: counters around the run.
-    analysis: dict[str, int] = field(default_factory=dict)
-
-    def lane(self, name: str) -> LaneCounters:
-        """The counters of one lane (created on first use)."""
-        return self.lanes.setdefault(name, LaneCounters())
-
-    def count(self, lane: str, status: "RequestStatus") -> None:
-        """Account one settled request against a lane."""
-        counters = self.lane(lane)
-        if status is RequestStatus.ADMITTED:
-            counters.admitted += 1
-        elif status is RequestStatus.REJECTED:
-            counters.rejected += 1
-        elif status is RequestStatus.EXPIRED:
-            counters.expired += 1
-        elif status is RequestStatus.CANCELLED:
-            counters.cancelled += 1
-        elif status is RequestStatus.SHED:
-            counters.shed += 1
-
-
 @dataclass(frozen=True)
 class EngineRecord:
     """Final outcome of one admission request driven through the engine."""
@@ -250,13 +194,11 @@ class EngineOutcome:
     drain_wall_s: float = 0.0
     mapping_runtime_s: float = 0.0
     parked_retries_skipped: int = 0
-    telemetry: EngineTelemetry = field(default_factory=EngineTelemetry)
     #: Every span the run's tracer recorded, in buffer order; empty with
     #: observability off.
     spans: list[SpanRecord] = field(default_factory=list)
-    #: Snapshot of the run's folded :class:`~repro.obs.metrics.MetricsRegistry`
-    #: (``None`` with observability or metrics off).
-    metrics: dict | None = None
+    #: Snapshot of the run's :class:`~repro.obs.metrics.MetricsRegistry`.
+    metrics: dict = field(default_factory=dict)
 
     def _with_status(self, status: RequestStatus) -> list[EngineRecord]:
         """Records with one status, served from a lazily built index.
@@ -378,13 +320,11 @@ class WorkloadEngine:
     obs:
         Optional :class:`~repro.obs.trace.ObsConfig`.  When enabled, the
         engine owns a :class:`~repro.obs.trace.Tracer` (installed on the
-        manager's pipeline) producing per-request
-        span trees keyed by ``"<workload>:<ticket>"``, and a per-run
-        :class:`~repro.obs.metrics.MetricsRegistry` every component
-        publishes into.  Both land on the outcome
-        (:attr:`EngineOutcome.spans` / :attr:`EngineOutcome.metrics`).
-        Observability only ever observes: the differential suites pin that
-        decisions are bit-identical with it on or off.
+        manager's pipeline) producing per-request span trees keyed by
+        ``"<workload>:<ticket>"``; they land on :attr:`EngineOutcome.spans`.
+        Tracing only ever observes: the differential suites pin that
+        decisions are bit-identical with it on or off.  The per-run
+        metrics registry does not depend on it.
     """
 
     def __init__(
@@ -405,14 +345,13 @@ class WorkloadEngine:
         self.executor = executor or SerialRegionExecutor()
         self.drain_mode = drain_mode
         self.governor = governor
-        self.obs = obs
         self.tracer: Tracer = (
             Tracer(obs) if obs is not None and obs.enabled else NULL_TRACER
         )
         manager.pipeline.tracer = self.tracer
-        #: The current run's metrics registry (``None`` between runs or with
-        #: metrics off); installed on the pipeline and queue for the run.
-        self.metrics: MetricsRegistry | None = None
+        #: The current (or last) run's metrics registry; each run installs a
+        #: fresh one on the pipeline and the queue.
+        self.metrics = MetricsRegistry()
         #: ticket -> open root ("request") span of every in-flight sampled
         #: request; closed (and popped) when the request settles terminally.
         self._roots: dict[int, Span] = {}
@@ -431,17 +370,11 @@ class WorkloadEngine:
         by :mod:`repro.workloads.arrivals`).
         """
         started = time.perf_counter()
-        analysis_baseline = self._analysis_snapshot()
+        baseline = self._lifetime_counters()
         outcome = EngineOutcome(workload=getattr(workload, "name", "workload"))
         self._workload_name = outcome.workload
-        obs = self.obs
-        self.metrics = (
-            MetricsRegistry()
-            if obs is not None and obs.enabled and obs.metrics
-            else None
-        )
-        self.manager.pipeline.metrics = self.metrics
-        self.queue.metrics = self.metrics
+        metrics = MetricsRegistry()
+        self.metrics = self.manager.pipeline.metrics = self.queue.metrics = metrics
         events = workload.sorted_events()
         for event in events:
             if not isinstance(event, (StartEvent, StopEvent)):
@@ -487,61 +420,35 @@ class WorkloadEngine:
         outcome.end_time_ns = end_time_ns
         outcome.energy.finish(end_time_ns)
         outcome.wall_clock_s = time.perf_counter() - started
-        self._collect_analysis_stats(outcome, analysis_baseline)
-        if self.governor is not None:
-            outcome.telemetry.governor = self.governor.snapshot()
-        metrics = self.metrics
-        if metrics is not None:
-            self._publish_run_metrics(metrics, outcome)
-            outcome.metrics = metrics.snapshot()
+        self._publish_run_deltas(baseline)
+        outcome.metrics = self.metrics.snapshot()
         if self.tracer.enabled:
             outcome.spans = self.tracer.drain()
-        self.metrics = None
-        self.manager.pipeline.metrics = None
-        self.queue.metrics = None
         return outcome
 
-    def _publish_run_metrics(
-        self, metrics: MetricsRegistry, outcome: EngineOutcome
-    ) -> None:
-        """Publish the run's telemetry deltas into the metrics registry.
-
-        The engine publishes its lane counters itself; the analysis engine
-        and the governor publish through their own ``publish_metrics`` — all
-        into the same registry the queue and pipeline counted into live.
-        """
-        telemetry = outcome.telemetry
-        for lane, counters in sorted(telemetry.lanes.items()):
-            for status in ("admitted", "rejected", "expired", "cancelled", "shed", "parked"):
-                value = getattr(counters, status)
-                if value:
-                    metrics.count(
-                        f"engine.settled[lane={lane},status={status}]", float(value)
-                    )
-        analysis = getattr(self.manager.pipeline, "analysis", None)
-        if analysis is not None and telemetry.analysis:
-            analysis.publish_metrics(metrics, telemetry.analysis)
+    def _lifetime_counters(self) -> dict[str, int]:
+        """Lifetime counters of the analysis engine and the governor, by metric name."""
+        counters = {
+            f"analysis.{key}": value
+            for key, value in self.manager.pipeline.analysis.snapshot().items()
+        }
         if self.governor is not None:
-            self.governor.publish_metrics(metrics)
+            snapshot = self.governor.snapshot()
+            for key in ("shed", "deferred", "transitions"):
+                counters[f"governor.{key}"] = snapshot[key]
+        return counters
 
-    def _analysis_snapshot(self) -> dict[str, int]:
-        """Cumulative analysis-engine counters of the pipeline."""
-        analysis = getattr(self.manager.pipeline, "analysis", None)
-        return analysis.snapshot() if analysis is not None else {}
+    def _publish_run_deltas(self, baseline: dict[str, int]) -> None:
+        """Count this run's share of the lifetime counters, plus the governor gauges.
 
-    def _collect_analysis_stats(
-        self, outcome: EngineOutcome, baseline: dict[str, int]
-    ) -> None:
-        """Fold this run's step-4 analysis work into the telemetry.
-
-        The analysis engine accumulates for the pipeline's lifetime, so each
-        run reports the delta against its starting snapshot.
+        The analysis engine and the governor outlive a run, so each run
+        publishes the delta against the ``baseline`` taken when it started.
         """
-        stats = self._analysis_snapshot()
-        if stats:
-            outcome.telemetry.analysis = {
-                key: value - baseline.get(key, 0) for key, value in stats.items()
-            }
+        metrics = self.metrics
+        for name, value in self._lifetime_counters().items():
+            metrics.count(name, float(value - baseline[name]))
+        if self.governor is not None:
+            self.governor.publish_gauges(metrics)
 
     # ------------------------------------------------------------------ #
     def _submit(self, event: StartEvent) -> int:
@@ -717,7 +624,7 @@ class WorkloadEngine:
             )
             self._record(now_ns, request, outcome, lane=settled_lane)
             if not request.status.is_final:
-                outcome.telemetry.lane(request.lane).parked += 1
+                self.metrics.count(f"engine.settled[lane={request.lane},status=parked]")
         outcome.drain_wall_s += time.perf_counter() - drain_started
 
     def _observe(self, request: QueuedRequest, admitted: bool) -> None:
@@ -863,9 +770,9 @@ class WorkloadEngine:
     ) -> None:
         """Append a settled request to the outcome (parked requests stay open).
 
-        ``lane`` names the lane that settled the request for the telemetry
-        counters; it defaults to the request's home lane (expiries, end-of-
-        workload flushes).
+        ``lane`` names the lane that settled the request for the
+        ``engine.settled`` counter; it defaults to the request's home lane
+        (expiries, end-of-workload flushes).
         """
         if not request.status.is_final:
             return  # parked rejection: still pending, not an outcome yet
@@ -874,11 +781,11 @@ class WorkloadEngine:
             self._queue_waited.discard(request.ticket)
             root.attrs["status"] = request.status.value
             record = self.tracer.end(root)
-            if self.metrics is not None:
-                self.metrics.observe(
-                    "engine.request_latency_s", record.duration_ns / 1e9
-                )
-        outcome.telemetry.count(lane if lane is not None else request.lane, request.status)
+            self.metrics.observe("engine.request_latency_s", record.duration_ns / 1e9)
+        self.metrics.count(
+            f"engine.settled[lane={lane if lane is not None else request.lane},"
+            f"status={request.status.value}]"
+        )
         outcome.records.append(
             EngineRecord(
                 time_ns=time_ns,

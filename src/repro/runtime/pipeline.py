@@ -38,7 +38,7 @@ from repro.exceptions import PlatformError
 from repro.kpn.als import ApplicationLevelSpec
 from repro.mapping.mapping import Mapping
 from repro.mapping.result import MappingResult, MappingStatus
-from repro.obs import NULL_TRACER, TraceContext
+from repro.obs import NULL_TRACER, MetricsRegistry, TraceContext
 from repro.platform.platform import Platform
 from repro.platform.regions import Region, RegionPartition
 from repro.platform.state import LinkAllocation, PlatformState, ProcessAllocation
@@ -59,8 +59,8 @@ class AdmissionDecision:
     mapping_runtime_s: float = 0.0
     #: Which stage produced the decision: ``"pipeline"`` (region attempts /
     #: global fallback) or ``"interregion"`` (the corridor planner).  The
-    #: engine's telemetry attributes settlements by this, not by the
-    #: free-text ``reason``.
+    #: engine's ``engine.settled`` counters attribute settlements by this,
+    #: not by the free-text ``reason``.
     origin: str = "pipeline"
     #: Names of the regions whose in-region mapping attempt failed on the
     #: way to this decision (empty without a partition, or when the first
@@ -147,7 +147,7 @@ class AdmissionPipeline:
         #: Step-4 analysis engine shared by every mapper this pipeline
         #: creates: one simulation-verdict cache across regions, refinement
         #: iterations and admission requests, and the source of the
-        #: engine-level ``analysis`` telemetry counters.
+        #: engine's per-run ``analysis.*`` counters.
         self.analysis = AnalysisEngine.from_config(self.config)
         self._mapper_factory = mapper_factory or (
             lambda platform_, library_, config_: SpatialMapper(
@@ -170,11 +170,11 @@ class AdmissionPipeline:
         #: boundary corridors *before* the unrestricted global fallback.
         self.interregion = None
         #: Observability hooks.  The engine installs its
-        #: :class:`~repro.obs.trace.Tracer` / per-run
-        #: :class:`~repro.obs.metrics.MetricsRegistry` here; the defaults keep
-        #: an un-instrumented pipeline allocation-free on the hot path.
+        #: :class:`~repro.obs.trace.Tracer` and per-run
+        #: :class:`~repro.obs.metrics.MetricsRegistry` here; the default
+        #: tracer records nothing.
         self.tracer = NULL_TRACER
-        self.metrics = None
+        self.metrics = MetricsRegistry()
 
     # ------------------------------------------------------------------ #
     # Stage 1 — fingerprints
@@ -294,16 +294,11 @@ class AdmissionPipeline:
         return result
 
     def _count_rescue_metrics(self, mapper) -> None:
-        """Fold the last computed call's rescue-lane counters into metrics.
+        """Count the last computed call's rescue-lane work into the registry.
 
-        Worker-process pipelines count into their local registry, whose
-        snapshot ships back in ``LaneResult.metrics`` and folds engine-side,
-        so the counters aggregate across executors without extra plumbing.
         Cache hits carry a marked empty trace and count nothing.
         """
         metrics = self.metrics
-        if metrics is None:
-            return
         trace = getattr(mapper, "last_trace", None)
         if trace is None or trace.cache_hit or not trace.rescue_searchers_run:
             return
@@ -406,16 +401,11 @@ class AdmissionPipeline:
         observes — decisions are bit-identical with it on or off.
         """
         tracer = self.tracer
-        metrics = self.metrics
         span = (
             tracer.start("decide", trace, attrs={"application": als.name})
             if trace is not None and tracer.enabled
             else None
         )
-        if span is None and metrics is None:
-            return self._decide(
-                als, library, candidates=candidates, use_interregion=use_interregion
-            )
         start_ns = span.start_ns if span is not None else time.perf_counter_ns()
         decision = self._decide(
             als,
@@ -429,9 +419,9 @@ class AdmissionPipeline:
             span.attrs["admitted"] = decision.admitted
             span.attrs["origin"] = decision.origin
             tracer.end(span, end_ns=end_ns)
-        if metrics is not None:
-            metrics.observe("pipeline.decide_s", (end_ns - start_ns) / 1e9)
-            metrics.count(f"pipeline.decisions[admitted={decision.admitted}]")
+        metrics = self.metrics
+        metrics.observe("pipeline.decide_s", (end_ns - start_ns) / 1e9)
+        metrics.count(f"pipeline.decisions[admitted={decision.admitted}]")
         return decision
 
     def _decide(

@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 from repro.appmodel.library import ImplementationLibrary
 from repro.exceptions import UnknownApplication
 from repro.kpn.als import ApplicationLevelSpec
+from repro.obs import MetricsRegistry
 from repro.platform.regions import GLOBAL_LANE
 from repro.runtime.manager import RuntimeResourceManager
 from repro.runtime.pipeline import AdmissionDecision
@@ -137,10 +138,10 @@ class AdmissionQueue:
         self._requests: dict[int, QueuedRequest] = {}
         self._pending: list[QueuedRequest] = []
         self._lock = threading.RLock()
-        #: Optional :class:`~repro.obs.metrics.MetricsRegistry` the queue
-        #: counts submissions/claims/expiries (and gauges its depth) into;
-        #: the engine installs its per-run registry here.
-        self.metrics = None
+        #: The :class:`~repro.obs.metrics.MetricsRegistry` the queue counts
+        #: submissions/claims/expiries (and gauges its depth) into; the
+        #: engine installs its per-run registry here.
+        self.metrics = MetricsRegistry()
 
     # ------------------------------------------------------------------ #
     # Submission side
@@ -169,9 +170,8 @@ class AdmissionQueue:
             request._order = (-priority, ticket)
             self._requests[ticket] = request
             self._pending.append(request)
-            if self.metrics is not None:
-                self.metrics.count("queue.submitted")
-                self.metrics.gauge("queue.depth", float(len(self._pending)))
+            self.metrics.count("queue.submitted")
+            self.metrics.gauge("queue.depth", float(len(self._pending)))
             return ticket
 
     def poll(self, ticket: int) -> QueuedRequest:
@@ -257,11 +257,10 @@ class AdmissionQueue:
             for request in ready:
                 self._pending.remove(request)
                 request.status = RequestStatus.IN_FLIGHT
-            if self.metrics is not None:
-                self.metrics.count("queue.claimed", float(len(ready)))
-                if expired:
-                    self.metrics.count("queue.expired", float(len(expired)))
-                self.metrics.gauge("queue.depth", float(len(self._pending)))
+            self.metrics.count("queue.claimed", float(len(ready)))
+            if expired:
+                self.metrics.count("queue.expired", float(len(expired)))
+            self.metrics.gauge("queue.depth", float(len(self._pending)))
             return expired, ready
 
     def finalize(

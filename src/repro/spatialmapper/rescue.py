@@ -70,7 +70,7 @@ def rescue_seed(
     Derived by ``crc32`` (no global RNG state, like obs trace sampling) from
     the application's name-free shape fingerprint, the region/state
     fingerprint the mapper cache keys on, and the searcher index.  Stable
-    under process/channel renaming and across executors, so the whole lane
+    under process/channel renaming and across runs, so the whole lane
     replays bit-identically for identical requests.
     """
     base = zlib.crc32(repr((shape_fingerprint(als, library), fingerprint)).encode())

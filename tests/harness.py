@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.obs.metrics import pivot
 from repro.platform.builder import PlatformBuilder
 from repro.platform.regions import RegionPartition
 from repro.runtime.manager import RuntimeResourceManager
@@ -91,6 +92,11 @@ def make_manager(platform=None, **kwargs) -> RuntimeResourceManager:
     kwargs.setdefault("config", MapperConfig(analysis_iterations=3))
     kwargs.setdefault("partition", two_region_partition(platform))
     return RuntimeResourceManager(platform, **kwargs)
+
+
+def settled_counts(outcome) -> dict[str, dict[str, float]]:
+    """A run's ``engine.settled`` counters as ``{lane: {status: count}}``."""
+    return pivot(outcome.metrics["counters"], "engine.settled", "lane", "status")
 
 
 # --------------------------------------------------------------------------- #

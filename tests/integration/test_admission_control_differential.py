@@ -89,10 +89,10 @@ class TestGovernorInertness:
         assert outcome_key(governed_manager, governed) == outcome_key(
             baseline_manager, baseline
         )
-        # The disabled governor still reports telemetry — inert in
+        # The disabled governor still reports its metrics — inert in
         # decisions, not invisible.
-        assert governed.telemetry.governor is not None
-        assert governed.telemetry.governor["shed"] == 0
+        assert governed.metrics["counters"]["governor.shed"] == 0
+        assert "governor.admission_rate" in governed.metrics["gauges"]
 
 
 class TestAdaptiveExecutorIdentity:
@@ -112,4 +112,5 @@ class TestAdaptiveExecutorIdentity:
         assert outcome_key(first_manager, first) == outcome_key(
             second_manager, second
         )
-        assert first.telemetry.governor == second.telemetry.governor
+        for family in ("counters", "gauges"):
+            assert first.metrics[family] == second.metrics[family]

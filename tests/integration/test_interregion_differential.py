@@ -28,6 +28,7 @@ from repro.workloads.arrivals import (
     generate_workload,
 )
 from repro.workloads.synthetic import SyntheticConfig, generate_application, generate_region_mesh
+from tests.harness import settled_counts
 
 REGIONS = 2
 SPAN = 4
@@ -83,7 +84,7 @@ class TestSingleRegionIdentity:
             outcomes["off"].energy.total_energy_nj
         )
         # And nothing ever settled in the multi-region lane.
-        assert "__multi__" not in outcomes["on"].telemetry.lanes
+        assert "__multi__" not in settled_counts(outcomes["on"])
 
     def test_planner_engine_replays_identically(self):
         """Two fresh replays through the multi-region lane decide identically."""
@@ -111,8 +112,7 @@ class TestSingleRegionIdentity:
         assert first.decision_log() == second.decision_log()
         assert first.departures == second.departures
         assert first_manager.state.fingerprint() == second_manager.state.fingerprint()
-        multi = first.telemetry.lanes.get("__multi__")
-        assert multi is not None and multi.admitted > 0
+        assert settled_counts(first)["__multi__"]["admitted"] > 0
 
 
 class TestCrossRegionEquivalence:

@@ -9,10 +9,9 @@ The observability layer's contract, pinned against real engine runs:
   to the mapper steps, with every child inside its parent's window.
 * **Exportable** — ``write_export`` + ``validate_export`` round-trips a
   real run with zero problems, and the report CLI renders it.
-* **Analysis totals** — an obs-off run still reports the step-4 analysis
-  counters.
-* **Metrics match telemetry** — the run's registry counts exactly what the
-  engine's telemetry accounts, lane by lane.
+* **One store** — every run, traced or not, counts into its metrics
+  registry: an obs-off run reports the same counters as a fully traced
+  one, and the registry accounts for every settled request.
 """
 
 from repro.obs import ObsConfig, validate_export, write_export
@@ -23,7 +22,7 @@ from repro.runtime.manager import RuntimeResourceManager
 from repro.spatialmapper.config import MapperConfig
 from repro.workloads.arrivals import cross_region_classes, generate_workload
 from repro.workloads.synthetic import SyntheticConfig, generate_region_mesh
-from tests.harness import MILLISECOND, make_manager, two_region_workload
+from tests.harness import MILLISECOND, make_manager, settled_counts, two_region_workload
 
 
 def _run(seed=7, *, obs=None):
@@ -60,13 +59,25 @@ def test_partial_sampling_is_decision_inert_and_subsets():
     assert traced_ids
 
 
-def test_obs_off_publishes_nothing_but_analysis_survives():
+def test_obs_off_records_no_spans_but_keeps_its_metrics():
     outcome = _run()
     assert outcome.spans == []
-    assert outcome.metrics is None
-    # satellite: analysis counters are telemetry, not observability — they
-    # must be populated with obs fully off.
-    assert outcome.telemetry.analysis.get("simulations_run", 0) > 0
+    counters = outcome.metrics["counters"]
+    # The lane and analysis counters are the run's record, not tracing:
+    # they are there with obs fully off.
+    assert settled_counts(outcome)
+    assert counters["analysis.simulations_run"] > 0
+    assert "engine.request_latency_s" not in outcome.metrics["histograms"]
+
+
+def test_obs_off_and_traced_runs_count_identically():
+    untraced = _run()
+    traced = _run(obs=ObsConfig(sample_rate=1.0))
+    assert traced.metrics["counters"] == untraced.metrics["counters"]
+    assert (
+        traced.metrics["histograms"]["pipeline.decide_s"]["count"]
+        == untraced.metrics["histograms"]["pipeline.decide_s"]["count"]
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -117,7 +128,7 @@ def test_run_metrics_cover_every_island():
     assert any(name.startswith("engine.settled[") for name in counters)
     assert any(name.startswith("analysis.") for name in counters)
     assert any(name.startswith("queue.") for name in counters)
-    assert "governor.admission_rate" in gauges or not outcome.telemetry.governor
+    assert not any(name.startswith("governor.") for name in gauges)  # no governor
     assert "engine.request_latency_s" in histograms
     assert histograms["engine.request_latency_s"]["count"] == len(outcome.records)
 
@@ -154,15 +165,23 @@ def test_multi_region_lane_plans_hang_off_their_requests():
     for plan in plans:
         parent = by_id[plan.parent_id]
         assert parent.name == "request" and parent.trace_id == plan.trace_id
-    assert outcome.telemetry.lanes[MULTI_REGION_LANE].admitted > 0
+    assert settled_counts(outcome)[MULTI_REGION_LANE]["admitted"] > 0
 
 
-def test_run_metrics_match_the_engine_telemetry():
-    outcome = _run(obs=ObsConfig(sample_rate=1.0))
+def test_run_metrics_match_the_records_and_the_analysis_engine():
+    manager = make_manager()
+    start = manager.pipeline.analysis.snapshot()
+    outcome = WorkloadEngine(manager, obs=ObsConfig(sample_rate=1.0)).run(
+        two_region_workload(7, 12 * MILLISECOND, name="obs-accept")
+    )
+    end = manager.pipeline.analysis.snapshot()
     counters = outcome.metrics["counters"]
-    for lane, lane_counters in outcome.telemetry.lanes.items():
-        for status in ("admitted", "rejected", "expired", "cancelled", "shed", "parked"):
-            name = f"engine.settled[lane={lane},status={status}]"
-            assert counters.get(name, 0.0) == getattr(lane_counters, status)
-    for key, value in outcome.telemetry.analysis.items():
-        assert counters.get(f"analysis.{key}", 0.0) == value
+    for status in ("admitted", "rejected", "expired", "cancelled", "shed"):
+        settled = sum(
+            statuses.get(status, 0) for statuses in settled_counts(outcome).values()
+        )
+        assert settled == sum(
+            1 for record in outcome.records if record.status.value == status
+        )
+    for key, value in end.items():
+        assert counters[f"analysis.{key}"] == value - start[key]

@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from repro.obs import MetricsRegistry
 from repro.runtime.admission_control import (
     GovernorConfig,
     GovernorDecision,
@@ -18,6 +19,7 @@ from tests.harness import (
     MILLISECOND,
     make_app,
     make_manager,
+    settled_counts,
     two_region_classes,
     two_region_workload,
 )
@@ -85,6 +87,20 @@ class TestGovernorStateMachine:
         assert governor.assess(0) == GovernorDecision.DEFER
         assert governor.snapshot()["deferred"] == 1
 
+    def test_gauges_carry_state_and_rates_but_no_counters(self):
+        governor = LoadSheddingGovernor(FAST)
+        for admitted in (True, False, False, False):
+            governor.observe(2, admitted)
+        registry = MetricsRegistry()
+        governor.publish_gauges(registry)
+        snapshot = registry.snapshot()
+        assert snapshot["counters"] == {}
+        assert snapshot["gauges"] == {
+            "governor.admission_rate": 0.25,
+            "governor.shedding": 1.0,
+            "governor.admission_rate[priority=2]": 0.25,
+        }
+
     def test_disabled_governor_is_inert(self):
         governor = LoadSheddingGovernor(FAST, enabled=False)
         for _ in range(8):
@@ -117,13 +133,26 @@ class TestEngineIntegration:
         shed_records = [r for r in outcome.records if r.status is RequestStatus.SHED]
         assert all(r.priority <= FAST.shed_max_priority for r in shed_records)
         assert all("shed by load governor" in r.reason for r in shed_records)
-        lanes_shed = sum(c.shed for c in outcome.telemetry.lanes.values())
+        lanes_shed = sum(s.get("shed", 0) for s in settled_counts(outcome).values())
         assert lanes_shed == len(shed_records)
-        snapshot = outcome.telemetry.governor
-        assert snapshot is not None
-        assert snapshot["shed"] >= len(shed_records)
-        assert snapshot["transitions"] >= 1
-        assert 2 in snapshot["rate_by_priority"]
+        counters = outcome.metrics["counters"]
+        assert counters["governor.shed"] == len(shed_records)
+        assert counters["governor.transitions"] >= 1
+        assert "governor.admission_rate[priority=2]" in outcome.metrics["gauges"]
+
+    def test_governor_counters_are_per_run_deltas(self):
+        # One engine and one governor over two overload streams back to
+        # back: each run's registry counts only that run's governor work.
+        governor = LoadSheddingGovernor(FAST)
+        engine = WorkloadEngine(make_manager(), governor=governor, park_rejections=True)
+        runs = [engine.run(overloaded_workload(seed)) for seed in (77, 78)]
+        for outcome in runs:
+            shed = sum(1 for r in outcome.records if r.status is RequestStatus.SHED)
+            assert shed > 0, "both streams were expected to shed"
+            assert outcome.metrics["counters"]["governor.shed"] == shed
+        assert sum(r.metrics["counters"]["governor.transitions"] for r in runs) == (
+            governor.transitions
+        )
 
     def test_governor_saves_mapper_invocations(self):
         workload = overloaded_workload()
@@ -280,5 +309,9 @@ class TestEngineGovernorParameter:
             StartEvent(time_ns=0.0, als=app.als, library=app.library)
         )
         outcome = WorkloadEngine(manager).run(scenario)
-        assert outcome.telemetry.governor is None
+        assert not any(
+            name.startswith("governor.")
+            for family in ("counters", "gauges")
+            for name in outcome.metrics[family]
+        )
         assert outcome.shed == []

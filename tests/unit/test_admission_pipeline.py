@@ -13,7 +13,6 @@ from repro.kpn.channel import Channel
 from repro.kpn.graph import KPNGraph
 from repro.kpn.process import Process
 from repro.kpn.qos import QoSConstraints
-from repro.obs.metrics import MetricsRegistry
 from repro.platform.builder import PlatformBuilder
 from repro.platform.regions import RegionPartition
 from repro.platform.state import PlatformState
@@ -112,6 +111,13 @@ class TestRegionShardedAdmission:
         assert [d.admitted for d in outcome.decisions] == [True, True]
         assert manager.pipeline.regions_of("left_app") == ("r0_0",)
         assert manager.pipeline.regions_of("right_app") == ("r1_0",)
+
+    def test_a_pipeline_without_an_engine_counts_into_its_own_registry(self, manager):
+        left = make_app(5, "left_app", "io_l")
+        manager.start(left.als, library=left.library)
+        metrics = manager.pipeline.metrics
+        assert metrics.counter_value("pipeline.decisions[admitted=True]") == 1
+        assert metrics.histogram_for("pipeline.decide_s").count == 1
 
     def test_cross_region_pins_fall_back_to_global(self, manager):
         spanning = generate_application(
@@ -533,7 +539,6 @@ class TestClientThreadContract:
 
     def test_concurrent_submits_count_exactly_into_the_registry(self, manager):
         queue = AdmissionQueue(manager)
-        queue.metrics = MetricsRegistry()
         app = make_app(99, "counted", "io_l")
         self._submit_concurrently(queue, app)
         expected = self.THREADS * self.PER_THREAD

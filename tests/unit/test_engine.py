@@ -1,5 +1,7 @@
 """The discrete-event workload engine and its region executor."""
 
+from collections import Counter
+
 import pytest
 
 from repro.platform.regions import RegionPartition
@@ -19,6 +21,7 @@ from tests.harness import (
     build_two_region_platform,
     make_app,
     make_manager,
+    settled_counts,
     two_region_workload,
 )
 
@@ -523,7 +526,7 @@ class TestMultiRegionLane:
         monkeypatch.setattr(manager.pipeline, "decide_interregion", recording_plan)
         outcome = WorkloadEngine(manager).run(scenario)
         assert scopes == [("spanning", expected)]
-        assert outcome.telemetry.lanes[MULTI_REGION_LANE].admitted == 1
+        assert settled_counts(outcome)[MULTI_REGION_LANE] == {"admitted": 1.0}
 
     def test_the_lane_runs_between_region_lanes_and_serial_phase(self, monkeypatch):
         manager = self._planner_manager()
@@ -565,7 +568,7 @@ class TestMultiRegionLane:
         monkeypatch.setattr(manager.pipeline, "decide_interregion", rejecting_plan)
         outcome = WorkloadEngine(manager).run(scenario)
         assert serial_flags == [("spanning", False)]
-        assert MULTI_REGION_LANE not in outcome.telemetry.lanes
+        assert MULTI_REGION_LANE not in settled_counts(outcome)
 
 
 class TestRunTelemetry:
@@ -576,24 +579,40 @@ class TestRunTelemetry:
         outcome = WorkloadEngine(manager, park_rejections=True).run(
             self._workload(3, "lanes")
         )
-        lanes = outcome.telemetry.lanes
-        assert sum(counters.settled() for counters in lanes.values()) == len(
-            outcome.records
-        )
-        assert sum(counters.admitted for counters in lanes.values()) == len(
-            outcome.admitted
-        )
+        by_status = Counter()
+        for statuses in settled_counts(outcome).values():
+            by_status.update(statuses)
+        # Parked retries are counted, but they are not settlements.
+        assert by_status.pop("parked", 0) > 0, "the stream was expected to park"
+        assert by_status == Counter(record.status.value for record in outcome.records)
 
     def test_analysis_telemetry_is_a_per_run_delta(self, manager):
         analysis = manager.pipeline.analysis
         start = analysis.snapshot()
         engine = WorkloadEngine(manager)
-        first = engine.run(self._workload(4, "first")).telemetry.analysis
-        second = engine.run(self._workload(5, "second")).telemetry.analysis
+        first = engine.run(self._workload(4, "first")).metrics["counters"]
+        second = engine.run(self._workload(5, "second")).metrics["counters"]
         end = analysis.snapshot()
-        assert first["simulations_run"] > 0
+        assert first["analysis.simulations_run"] > 0
         for key in end:
-            assert first[key] + second[key] == end[key] - start[key]
+            name = f"analysis.{key}"
+            assert first[name] + second[name] == end[key] - start[key]
+
+    def test_each_run_counts_into_a_fresh_registry(self, manager):
+        engine = WorkloadEngine(manager)
+        first = engine.run(self._workload(4, "first"))
+        first_registry = engine.metrics
+        second = engine.run(self._workload(5, "second"))
+        assert engine.metrics is not first_registry
+        assert manager.pipeline.metrics is engine.metrics
+        assert engine.queue.metrics is engine.metrics
+        for outcome in (first, second):
+            counters = outcome.metrics["counters"]
+            assert counters["queue.submitted"] == len(outcome.records)
+            decisions = counters.get("pipeline.decisions[admitted=True]", 0) + counters.get(
+                "pipeline.decisions[admitted=False]", 0
+            )
+            assert outcome.metrics["histograms"]["pipeline.decide_s"]["count"] == decisions
 
     def test_drain_time_is_part_of_the_run_time(self, manager):
         outcome = WorkloadEngine(manager).run(self._workload(6, "walls"))

@@ -1,7 +1,7 @@
 """Unit tests of the observability layer: tracer, metrics, export, report.
 
 These pin the obs package's own contracts — span identity, deterministic
-sampling, the registry's fold discipline, export
+sampling, the registry's instruments, export
 round-trips and the validator's teeth — independently of the engine
 integration (covered by ``tests/integration/test_obs_pipeline.py``).
 """
@@ -22,7 +22,13 @@ from repro.obs import (
     validate_export,
     write_export,
 )
-from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS_S, Histogram, MetricsRegistry, split_name
+from repro.obs.metrics import (
+    DEFAULT_LATENCY_BUCKETS_S,
+    Histogram,
+    MetricsRegistry,
+    pivot,
+    split_name,
+)
 from repro.obs.report import main as report_main, slowest_requests, stage_breakdown
 
 
@@ -152,40 +158,32 @@ class TestMetricsRegistry:
         assert registry.counter_value("clients.calls") == 2000
         assert registry.histogram_for("clients.latency_s").count == 2000
 
-    def test_gauge_fold_takes_max(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.gauge("depth", 4.0)
-        b.gauge("depth", 9.0)
-        a.fold(b.snapshot())
-        assert a.snapshot()["gauges"]["depth"] == 9.0
-        # and the other direction too — the fold is commutative
-        c = MetricsRegistry()
-        c.gauge("depth", 9.0)
-        d = MetricsRegistry()
-        d.gauge("depth", 4.0)
-        c.fold(d.snapshot())
-        assert c.snapshot()["gauges"]["depth"] == 9.0
-
-    def test_histogram_fold_bucketwise(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        for value in (0.0002, 0.002, 0.02):
-            a.observe("lat", value)
-        b.observe("lat", 0.002)
-        a.fold(b.snapshot())
-        hist = a.histogram_for("lat")
-        assert hist.count == 4
-        assert hist.sum == pytest.approx(0.0242)
-
-    def test_histogram_bounds_mismatch_raises(self):
+    def test_snapshot_is_a_copy(self):
         registry = MetricsRegistry()
-        registry.observe("lat", 0.5)
-        foreign = {
-            "histograms": {
-                "lat": {"bounds": [1.0, 2.0], "buckets": [0, 0, 1], "sum": 1.5, "count": 1}
-            }
+        registry.count("a")
+        registry.gauge("depth", 4.0)
+        registry.observe("lat", 0.002)
+        snapshot = registry.snapshot()
+        registry.count("a")
+        registry.gauge("depth", 9.0)
+        registry.observe("lat", 0.002)
+        assert snapshot["counters"] == {"a": 1.0}
+        assert snapshot["gauges"] == {"depth": 4.0}
+        assert snapshot["histograms"]["lat"]["count"] == 1
+
+    def test_pivot_tables_labelled_counters(self):
+        counters = {
+            "engine.settled[lane=r0,status=admitted]": 3.0,
+            "engine.settled[lane=r0,status=parked]": 1.0,
+            "engine.settled[lane=__global__,status=rejected]": 2.0,
+            "engine.request_count": 7.0,
+            "queue.claimed": 5.0,
         }
-        with pytest.raises(ValueError, match="bounds mismatch"):
-            registry.fold(foreign)
+        assert pivot(counters, "engine.settled", "lane", "status") == {
+            "r0": {"admitted": 3.0, "parked": 1.0},
+            "__global__": {"rejected": 2.0},
+        }
+        assert pivot(counters, "queue.depth", "lane", "status") == {}
 
     def test_histogram_quantile(self):
         hist = Histogram()
