@@ -13,12 +13,11 @@ stage:
   budgeted boundary hops and commits the composed mapping atomically.
 """
 
-from repro.interregion.budgets import BudgetTransaction, CorridorBudgets
+from repro.interregion.budgets import CorridorBudgets
 from repro.interregion.corridors import Corridor, CorridorHop, CorridorSelector
 from repro.interregion.planner import CorridorScope, InterRegionPlanner
 
 __all__ = [
-    "BudgetTransaction",
     "CorridorBudgets",
     "Corridor",
     "CorridorHop",

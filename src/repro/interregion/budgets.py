@@ -15,11 +15,10 @@ boundary into a *planned, budgeted resource*:
   channels may claim.  Keeping the fraction below 1 leaves headroom for the
   global lane's unplanned routes, so the planner can never starve the
   fallback path;
-* reservations are **journaled** with the same transaction discipline as
-  :class:`~repro.platform.state.PlatformState`: one transaction stack,
-  first-touch undo snapshots, commit folds into the enclosing open
-  transaction, rollback restores bit-identically.  A failed inter-region
-  commit therefore unwinds its budget claims exactly as it unwinds its
+* reservations are **journaled** in the
+  :class:`~repro.platform.journal.Journal` the budgets are built on — the
+  platform state's, in a planner.  A failed inter-region commit, or a
+  rolled-back batch, therefore unwinds its budget claims together with its
   state allocations.
 
 Reservations are recorded per application so a ``stop`` releases them all
@@ -29,77 +28,12 @@ Reservations are recorded per application so a ``stop`` releases them all
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator
-
 from repro.exceptions import PlatformError
+from repro.platform.journal import Journal
 from repro.platform.regions import RegionPartition
 
 #: An ordered region pair: (source region name, target region name).
 PairKey = tuple[str, str]
-
-
-class BudgetTransaction:
-    """Undo journal of one :meth:`CorridorBudgets.transaction` scope.
-
-    The journal snapshots, on first touch, the per-pair reserved total and
-    the per-application reservation list.  ``rollback`` replays the
-    snapshots in reverse; ``commit`` folds them into the enclosing open
-    transaction (so an outer rollback undoes inner commits as well), exactly
-    like :class:`~repro.platform.state.StateTransaction`.
-    """
-
-    __slots__ = ("_budgets", "_undo", "_seen_pairs", "_seen_apps", "closed", "rolled_back")
-
-    def __init__(self, budgets: "CorridorBudgets") -> None:
-        self._budgets = budgets
-        # Entries: ("pair", key, reserved_before) | ("app", name, list_before|None).
-        self._undo: list[tuple] = []
-        self._seen_pairs: set[PairKey] = set()
-        self._seen_apps: set[str] = set()
-        self.closed = False
-        self.rolled_back = False
-
-    def commit(self) -> None:
-        """Keep every reservation change; fold the journal into the parent."""
-        if self.closed:
-            if self.rolled_back:
-                raise PlatformError("budget transaction was already rolled back")
-            return
-        self.closed = True
-        stack = self._budgets._transactions
-        enclosing = stack[: stack.index(self)] if self in stack else stack
-        open_enclosing = [txn for txn in enclosing if not txn.closed]
-        for entry in self._undo:
-            kind, key = entry[0], entry[1]
-            for txn in reversed(open_enclosing):
-                seen = txn._seen_pairs if kind == "pair" else txn._seen_apps
-                if key not in seen:
-                    seen.add(key)
-                    txn._undo.append(entry)
-                break
-        self._undo = []
-
-    def rollback(self) -> None:
-        """Undo every reservation change made inside the transaction."""
-        if self.closed:
-            if self.rolled_back:
-                return
-            raise PlatformError("budget transaction was already committed")
-        budgets = self._budgets
-        for entry in reversed(self._undo):
-            if entry[0] == "pair":
-                _, key, reserved = entry
-                budgets._reserved[key] = reserved
-            else:
-                _, name, reservations = entry
-                if reservations is None:
-                    budgets._by_application.pop(name, None)
-                else:
-                    budgets._by_application[name] = reservations
-        self._undo.clear()
-        self.closed = True
-        self.rolled_back = True
 
 
 class CorridorBudgets:
@@ -112,9 +46,18 @@ class CorridorBudgets:
     fraction:
         Fraction of each pair's aggregate boundary-link capacity that
         corridors may reserve (0 < fraction <= 1).
+    journal:
+        The undo journal reservations are recorded in; a fresh one when
+        omitted.  The planner passes its pipeline state's journal.
     """
 
-    def __init__(self, partition: RegionPartition, fraction: float = 0.5) -> None:
+    def __init__(
+        self,
+        partition: RegionPartition,
+        fraction: float = 0.5,
+        *,
+        journal: Journal | None = None,
+    ) -> None:
         if not 0.0 < fraction <= 1.0:
             raise PlatformError("corridor budget fraction must be in (0, 1]")
         self.partition = partition
@@ -142,7 +85,7 @@ class CorridorBudgets:
         self._reserved: dict[PairKey, float] = {pair: 0.0 for pair in self._links}
         #: Per-application reservations: name -> [(pair, bits_per_s), ...].
         self._by_application: dict[str, list[tuple[PairKey, float]]] = {}
-        self._transactions: list[BudgetTransaction] = []
+        self.journal = journal if journal is not None else Journal()
 
     # ------------------------------------------------------------------ #
     # Inventory
@@ -179,52 +122,20 @@ class CorridorBudgets:
         return self._reserved[pair] / capacity
 
     # ------------------------------------------------------------------ #
-    # Transactions
+    # Journal
     # ------------------------------------------------------------------ #
-    @contextmanager
-    def transaction(self) -> Iterator[BudgetTransaction]:
-        """Open a journaled scope for tentative reservations.
+    def _restore_pair(self, pair: PairKey, reserved: float) -> None:
+        self._reserved[pair] = reserved
 
-        Commits on normal exit (unless already rolled back inside the
-        block), rolls back and re-raises on an exception.  Nested scopes
-        fold into their parent on commit, mirroring
-        :meth:`PlatformState.transaction`.
-        """
-        txn = BudgetTransaction(self)
-        stack = self._transactions
-        stack.append(txn)
-        try:
-            yield txn
-        except BaseException:
-            if not txn.closed:
-                txn.rollback()
-            raise
+    def _save_application(self, application: str):
+        reservations = self._by_application.get(application)
+        return None if reservations is None else list(reservations)
+
+    def _restore_application(self, application: str, reservations) -> None:
+        if reservations is None:
+            self._by_application.pop(application, None)
         else:
-            if not txn.closed:
-                txn.commit()
-        finally:
-            stack.remove(txn)
-
-    def _journal_pair(self, pair: PairKey) -> None:
-        for txn in reversed(self._transactions):
-            if txn.closed:
-                continue
-            if pair not in txn._seen_pairs:
-                txn._seen_pairs.add(pair)
-                txn._undo.append(("pair", pair, self._reserved[pair]))
-            return
-
-    def _journal_application(self, application: str) -> None:
-        for txn in reversed(self._transactions):
-            if txn.closed:
-                continue
-            if application not in txn._seen_apps:
-                txn._seen_apps.add(application)
-                reservations = self._by_application.get(application)
-                txn._undo.append(
-                    ("app", application, None if reservations is None else list(reservations))
-                )
-            return
+            self._by_application[application] = reservations
 
     # ------------------------------------------------------------------ #
     # Reservation accounting
@@ -254,8 +165,11 @@ class CorridorBudgets:
                 f"corridor budget {source_region!r}->{target_region!r} has only "
                 f"{residual:.3g} bit/s left; cannot reserve {bits_per_s:.3g} bit/s"
             )
-        self._journal_pair(pair)
-        self._journal_application(application)
+        journal = self.journal
+        journal.touch("corridor_pair", pair, self._reserved.get, self._restore_pair)
+        journal.touch(
+            "corridor_app", application, self._save_application, self._restore_application
+        )
         self._reserved[pair] += bits_per_s
         self._by_application.setdefault(application, []).append((pair, bits_per_s))
 
@@ -270,10 +184,13 @@ class CorridorBudgets:
         reservations = self._by_application.get(application)
         if not reservations:
             return 0.0
-        self._journal_application(application)
+        journal = self.journal
+        journal.touch(
+            "corridor_app", application, self._save_application, self._restore_application
+        )
         released = 0.0
         for pair, bits_per_s in reservations:
-            self._journal_pair(pair)
+            journal.touch("corridor_pair", pair, self._reserved.get, self._restore_pair)
             self._reserved[pair] -= bits_per_s
             released += bits_per_s
         del self._by_application[application]

@@ -85,7 +85,7 @@ class CorridorScope:
     Covers the tiles and internal links of every touched region plus the
     corridor's boundary links — the exact key set an inter-region admission
     may write, so sibling admissions into untouched regions keep independent
-    journals.
+    undo entries.
     """
 
     def __init__(self, regions: tuple[Region, ...], boundary_links: frozenset[str]) -> None:
@@ -110,8 +110,8 @@ class InterRegionPlanner:
         The admission pipeline whose platform, state, mapper and partition
         the planner shares.  The pipeline must be region-sharded.
     budgets:
-        Corridor budgets; a fresh inventory over the pipeline's partition is
-        created when omitted.
+        Corridor budgets built on the pipeline state's journal; a fresh
+        inventory over the pipeline's partition is created when omitted.
     budget_fraction:
         Fraction of boundary capacity reservable by corridors (used only
         when ``budgets`` is omitted).
@@ -128,7 +128,12 @@ class InterRegionPlanner:
             raise PlatformError("the inter-region planner needs a region-sharded pipeline")
         self.pipeline = pipeline
         self.partition = pipeline.partition
-        self.budgets = budgets or CorridorBudgets(self.partition, budget_fraction)
+        journal = pipeline.state.journal
+        if budgets is None:
+            budgets = CorridorBudgets(self.partition, budget_fraction, journal=journal)
+        elif budgets.journal is not journal:
+            raise PlatformError("corridor budgets must be built on the pipeline state's journal")
+        self.budgets = budgets
         self.selector = CorridorSelector(self.partition, self.budgets)
         # Segments skip the per-segment step-4 analysis: feasibility is
         # decided once, on the composed whole-application graph, so running
@@ -704,10 +709,9 @@ class InterRegionPlanner:
         state = self.pipeline.state
         try:
             with state.transaction(scope):
-                with self.budgets.transaction():
-                    self._apply(als.name, result.mapping)
-                    for pair, bits_per_s in reservations:
-                        self.budgets.reserve(als.name, pair[0], pair[1], bits_per_s)
+                self._apply(als.name, result.mapping)
+                for pair, bits_per_s in reservations:
+                    self.budgets.reserve(als.name, pair[0], pair[1], bits_per_s)
         except PlatformError as error:
             raise PlanRejected(f"commit failed: {error}") from None
         self.pipeline.record_commit(als.name, result.mapping)

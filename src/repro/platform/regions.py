@@ -9,7 +9,7 @@ internal to the region.  Regions give the admission pipeline three things:
 * a **transaction scope** — a region implements ``covers_tile`` /
   ``covers_link``, so :meth:`~repro.platform.state.PlatformState.transaction`
   journals only that region's keys and independent admissions commit without
-  touching each other's journals;
+  touching each other's undo entries;
 * a **fingerprint domain** — the per-region aggregate digest
   (:meth:`Region.fingerprint`) keys the mapper result cache, so an admission
   into one region does not invalidate cached mappings for the others;

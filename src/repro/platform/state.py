@@ -22,34 +22,34 @@ Two properties make the state cheap enough for run-time admission control:
   with the number (or allocation-list length) of already-running
   applications.
 * **transactions** — :meth:`PlatformState.transaction` opens a journaled
-  scope: every mutation records an undo snapshot, and a rollback restores the
-  state bit-identically.  What-if exploration (tentative commits, batch
+  scope on the state's :class:`~repro.platform.journal.Journal`: every
+  mutation records an undo snapshot, and a rollback restores the state
+  bit-identically.  What-if exploration (tentative commits, batch
   admission, step-3 routing) uses transactions instead of copying the whole
-  state.
+  state.  Corridor budgets and rejection feedback record into the same
+  journal, so one transaction covers them as well.
 
 Transactions can be *region-scoped*: passing a scope object (anything with
 ``covers_tile(name)`` / ``covers_link(name)``, e.g. a
-:class:`~repro.platform.regions.Region`) restricts which keys the journal
-protects.  A mutation is journaled into the innermost open transaction whose
-scope covers the touched tile/link, so admissions into disjoint regions can
-keep independent journals on the same state and commit or roll back without
-touching each other.  Mutating a key no open transaction covers raises — a
-cross-region allocation must be made under a scope that explicitly includes
-it (or under an unscoped, global transaction).
-
-A state has one transaction stack and no locks: one thread at a time (the
-engine's, in a workload run) mutates it.
+:class:`~repro.platform.regions.Region`) restricts which tiles and links the
+scope protects.  A mutation is journaled into the innermost open transaction
+whose scope covers the touched tile/link, so admissions into disjoint
+regions can commit or roll back without touching each other.  Mutating a
+tile or link no open transaction covers raises — a cross-region allocation
+must be made under a scope that explicitly includes it (or under an
+unscoped, global transaction).
 """
 
 from __future__ import annotations
 
 import hashlib
-from contextlib import contextmanager
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from repro.exceptions import PlatformError
+from repro.platform.journal import Journal, Transaction
 from repro.platform.noc import Position
 from repro.platform.platform import Platform
 
@@ -85,126 +85,6 @@ def fingerprint_digest(fingerprint: tuple) -> bytes:
     return hashlib.sha1(repr(fingerprint).encode("utf-8")).digest()
 
 
-class StateTransaction:
-    """Undo journal of one :meth:`PlatformState.transaction` scope.
-
-    Every mutation inside the scope appends a snapshot of the touched
-    tile/link entry (allocation list plus cached aggregates) *before* the
-    mutation.  :meth:`rollback` replays the snapshots in reverse, restoring
-    the state bit-identically; :meth:`commit` keeps the mutations.  When
-    transactions nest, a committed inner journal is folded into the enclosing
-    transaction so an outer rollback undoes inner commits as well.
-    """
-
-    __slots__ = (
-        "_state",
-        "_undo",
-        "_seen_tiles",
-        "_seen_links",
-        "scope",
-        "closed",
-        "rolled_back",
-    )
-
-    def __init__(self, state: "PlatformState", scope=None) -> None:
-        self._state = state
-        # Entries: ("tile"|"link", name, allocations|None, *aggregates|None).
-        # Only the first mutation of a key inside the transaction needs a
-        # snapshot (rollback replays in reverse and ends at the oldest), so
-        # the seen-sets keep the journal O(touched keys) instead of
-        # O(mutations x list length).
-        self._undo: list[tuple] = []
-        self._seen_tiles: set[str] = set()
-        self._seen_links: set[str] = set()
-        #: Optional region scope; ``None`` means the transaction covers every
-        #: tile and link of the platform.
-        self.scope = scope
-        self.closed = False
-        self.rolled_back = False
-
-    def covers_tile(self, tile_name: str) -> bool:
-        """Whether this transaction's scope protects the given tile."""
-        return self.scope is None or self.scope.covers_tile(tile_name)
-
-    def covers_link(self, link_name: str) -> bool:
-        """Whether this transaction's scope protects the given link."""
-        return self.scope is None or self.scope.covers_link(link_name)
-
-    def _check_innermost(self) -> None:
-        """Closing out of nesting order would corrupt the undo chains."""
-        stack = self._state._transactions
-        if self in stack:
-            for txn in stack[stack.index(self) + 1 :]:
-                if not txn.closed:
-                    raise PlatformError(
-                        "cannot close a transaction while a nested transaction is open"
-                    )
-
-    def commit(self) -> None:
-        """Keep every mutation performed inside the transaction.
-
-        The journal folds into the *enclosing* open transaction now, so an
-        outer rollback undoes these mutations even if the scope later exits
-        through an exception, and snapshots stay in mutation order relative
-        to anything journaled into the parent afterwards.
-        """
-        if self.closed:
-            if self.rolled_back:
-                raise PlatformError("transaction was already rolled back")
-            return
-        self._check_innermost()
-        self.closed = True
-        stack = self._state._transactions
-        enclosing = stack[: stack.index(self)] if self in stack else stack
-        open_enclosing = [txn for txn in enclosing if not txn.closed]
-        # Each snapshot folds into the innermost enclosing open transaction
-        # whose scope covers its key (entries outside every enclosing scope
-        # are committed for good — that is what region isolation means).  A
-        # folded snapshot is at least as old as anything the target would
-        # capture for the same key, so when the target has already seen the
-        # key its own (older or equal) snapshot suffices and the entry is
-        # dropped; otherwise marking it seen keeps the journal
-        # first-touch-only.
-        for entry in self._undo:
-            kind, name = entry[0], entry[1]
-            for txn in reversed(open_enclosing):
-                if kind == "tile":
-                    if txn.covers_tile(name):
-                        if name not in txn._seen_tiles:
-                            txn._seen_tiles.add(name)
-                            txn._undo.append(entry)
-                        break
-                elif txn.covers_link(name):
-                    if name not in txn._seen_links:
-                        txn._seen_links.add(name)
-                        txn._undo.append(entry)
-                    break
-        self._undo = []
-
-    def rollback(self) -> None:
-        """Undo every mutation performed inside the transaction."""
-        if self.closed:
-            if self.rolled_back:
-                return
-            raise PlatformError("transaction was already committed")
-        self._check_innermost()
-        state = self._state
-        for entry in reversed(self._undo):
-            if entry[0] == "tile":
-                _, name, occupants, slots, memory, cycles = entry
-                _restore(state._tile_occupants, name, occupants)
-                _restore(state._used_slots, name, slots)
-                _restore(state._used_memory, name, memory)
-                _restore(state._used_cycles, name, cycles)
-            else:
-                _, name, allocations, load = entry
-                _restore(state._link_allocations, name, allocations)
-                _restore(state._link_load, name, load)
-        self._undo.clear()
-        self.closed = True
-        self.rolled_back = True
-
-
 def _restore(target: dict, key: str, value) -> None:
     """Put a snapshot value back (``None`` means the key did not exist)."""
     if value is None:
@@ -225,10 +105,9 @@ class PlatformState:
     _used_memory: dict[str, int] = field(default_factory=dict, init=False, repr=False)
     _used_cycles: dict[str, float] = field(default_factory=dict, init=False, repr=False)
     _link_load: dict[str, float] = field(default_factory=dict, init=False, repr=False)
-    # The open transaction scopes, outermost first.
-    _transactions: list[StateTransaction] = field(
-        default_factory=list, init=False, repr=False
-    )
+    #: The undo journal of this state; corridor budgets and rejection
+    #: feedback built on the same run record their undo entries in it too.
+    journal: Journal = field(default_factory=Journal, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._rebuild_aggregates()
@@ -254,98 +133,56 @@ class PlatformState:
     # ------------------------------------------------------------------ #
     # Transactions
     # ------------------------------------------------------------------ #
-    @contextmanager
-    def transaction(self, scope=None) -> Iterator[StateTransaction]:
+    def transaction(self, scope=None) -> AbstractContextManager[Transaction]:
         """Open a journaled scope for tentative mutations.
 
-        On normal exit the transaction commits (unless :meth:`~StateTransaction.rollback`
-        was called inside the block); on an exception it rolls back and
-        re-raises.  Scopes nest: committing an inner transaction folds its
-        journal into the enclosing one.
+        On normal exit the transaction commits (unless
+        :meth:`~repro.platform.journal.Transaction.rollback` was called inside
+        the block); on an exception it rolls back and re-raises.  Scopes
+        nest: committing an inner transaction folds its journal into the
+        enclosing one.  The scope is opened on :attr:`journal`, so it also
+        covers corridor reservations and rejection feedback kept on it.
 
         ``scope`` optionally restricts the transaction to a region: any
         object with ``covers_tile(name)`` / ``covers_link(name)`` (e.g. a
-        :class:`~repro.platform.regions.Region`).  Mutations of keys the
-        scope does not cover are journaled into an enclosing transaction
-        that does cover them, or rejected when none does.
+        :class:`~repro.platform.regions.Region`).  Mutations of tiles and
+        links the scope does not cover are journaled into an enclosing
+        transaction that does cover them, or rejected when none does.
         """
-        txn = StateTransaction(self, scope)
-        stack = self._transactions
-        stack.append(txn)
-        try:
-            yield txn
-        except BaseException:
-            if not txn.closed:
-                txn.rollback()
-            raise
-        else:
-            if not txn.closed:
-                txn.commit()
-        finally:
-            stack.remove(txn)
+        return self.journal.transaction(scope)
 
     @property
     def in_transaction(self) -> bool:
         """Whether at least one transaction scope is open."""
-        return any(not txn.closed for txn in self._transactions)
+        return self.journal.in_transaction
 
-    def _journal_tile(self, tile_name: str) -> None:
-        """Snapshot a tile's entry into the innermost open transaction covering it."""
-        any_open = False
-        for txn in reversed(self._transactions):
-            if txn.closed:
-                continue
-            any_open = True
-            if not txn.covers_tile(tile_name):
-                continue
-            if tile_name in txn._seen_tiles:
-                return
-            txn._seen_tiles.add(tile_name)
-            occupants = self._tile_occupants.get(tile_name)
-            txn._undo.append(
-                (
-                    "tile",
-                    tile_name,
-                    None if occupants is None else list(occupants),
-                    self._used_slots.get(tile_name),
-                    self._used_memory.get(tile_name),
-                    self._used_cycles.get(tile_name),
-                )
-            )
-            return
-        if any_open:
-            raise PlatformError(
-                f"tile {tile_name!r} is outside the scope of every open transaction; "
-                "cross-region allocations need an enclosing transaction that covers them"
-            )
+    def _save_tile(self, tile_name: str) -> tuple:
+        occupants = self._tile_occupants.get(tile_name)
+        return (
+            None if occupants is None else list(occupants),
+            self._used_slots.get(tile_name),
+            self._used_memory.get(tile_name),
+            self._used_cycles.get(tile_name),
+        )
 
-    def _journal_link(self, link_name: str) -> None:
-        """Snapshot a link's entry into the innermost open transaction covering it."""
-        any_open = False
-        for txn in reversed(self._transactions):
-            if txn.closed:
-                continue
-            any_open = True
-            if not txn.covers_link(link_name):
-                continue
-            if link_name in txn._seen_links:
-                return
-            txn._seen_links.add(link_name)
-            allocations = self._link_allocations.get(link_name)
-            txn._undo.append(
-                (
-                    "link",
-                    link_name,
-                    None if allocations is None else list(allocations),
-                    self._link_load.get(link_name),
-                )
-            )
-            return
-        if any_open:
-            raise PlatformError(
-                f"link {link_name!r} is outside the scope of every open transaction; "
-                "cross-region allocations need an enclosing transaction that covers them"
-            )
+    def _restore_tile(self, tile_name: str, saved: tuple) -> None:
+        occupants, slots, memory, cycles = saved
+        _restore(self._tile_occupants, tile_name, occupants)
+        _restore(self._used_slots, tile_name, slots)
+        _restore(self._used_memory, tile_name, memory)
+        _restore(self._used_cycles, tile_name, cycles)
+
+    def _save_link(self, link_name: str) -> tuple:
+        allocations = self._link_allocations.get(link_name)
+        return (
+            None if allocations is None else list(allocations),
+            self._link_load.get(link_name),
+        )
+
+    def _restore_link(self, link_name: str, saved: tuple) -> None:
+        allocations, load = saved
+        _restore(self._link_allocations, link_name, allocations)
+        _restore(self._link_load, link_name, load)
 
     # ------------------------------------------------------------------ #
     # Tiles
@@ -416,7 +253,7 @@ class PlatformState:
                 f"of application {allocation.application!r}"
             )
         tile = allocation.tile
-        self._journal_tile(tile)
+        self.journal.touch("tile", tile, self._save_tile, self._restore_tile)
         self._tile_occupants.setdefault(tile, []).append(allocation)
         self._used_slots[tile] = self._used_slots.get(tile, 0) + 1
         self._used_memory[tile] = self._used_memory.get(tile, 0) + allocation.memory_bytes
@@ -462,7 +299,7 @@ class PlatformState:
                 f"link {link.name!r} has only {residual:.3g} bit/s left; "
                 f"cannot reserve {allocation.bits_per_s:.3g} bit/s"
             )
-        self._journal_link(link.name)
+        self.journal.touch("link", link.name, self._save_link, self._restore_link)
         self._link_allocations.setdefault(link.name, []).append(allocation)
         self._link_load[link.name] = self._link_load.get(link.name, 0.0) + allocation.bits_per_s
 
@@ -492,7 +329,7 @@ class PlatformState:
             kept = [a for a in allocations if a.application != application]
             if len(kept) == len(allocations):
                 continue
-            self._journal_tile(tile_name)
+            self.journal.touch("tile", tile_name, self._save_tile, self._restore_tile)
             removed += len(allocations) - len(kept)
             self._tile_occupants[tile_name] = kept
             self._used_slots[tile_name] = len(kept)
@@ -502,7 +339,7 @@ class PlatformState:
             kept = [a for a in allocations if a.application != application]
             if len(kept) == len(allocations):
                 continue
-            self._journal_link(link_name)
+            self.journal.touch("link", link_name, self._save_link, self._restore_link)
             removed += len(allocations) - len(kept)
             self._link_allocations[link_name] = kept
             self._link_load[link_name] = sum(a.bits_per_s for a in kept)
@@ -537,7 +374,8 @@ class PlatformState:
         states with equal fingerprints are indistinguishable to the mapper
         over those keys, which is what makes the fingerprint a sound
         memoisation key for :class:`~repro.spatialmapper.cache.MapperCache`.
-        Cost is O(occupied keys), independent of allocation-list lengths.
+        Cost is O(keys in scope): every tile and link name in scope is
+        looked up, occupied or not; allocation-list lengths do not matter.
 
         ``None`` for either argument means all tiles / all links of the
         platform (the global fingerprint); a

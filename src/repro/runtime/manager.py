@@ -307,16 +307,12 @@ class RuntimeResourceManager:
 
         if all_or_nothing:
             try:
-                # Rejection feedback recorded for the batch's decisions must
-                # vanish with the batch: a rolled-back admission never stood,
-                # so the memory must not demote regions for it.
-                with self.pipeline.feedback_transaction() as feedback_txn:
-                    with self.state.transaction() as txn:
-                        if not admit_all():
-                            txn.rollback()
-                            if feedback_txn is not None:
-                                feedback_txn.rollback()
-                            unwind()
+                # The rollback also undoes the batch's corridor reservations
+                # and rejection feedback: they share the state's journal.
+                with self.state.transaction() as txn:
+                    if not admit_all():
+                        txn.rollback()
+                        unwind()
             except BaseException:
                 # The transaction context already rolled the state back; the
                 # manager bookkeeping must follow, or _running would name

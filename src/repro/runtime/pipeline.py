@@ -19,7 +19,7 @@ stages —
    that keys its result) is local to the shard;
 4. **transactional commit** — allocations are written under a transaction
    scoped to the region, so admissions into disjoint regions never touch
-   each other's journals.
+   each other's undo entries.
 
 The :class:`~repro.runtime.manager.RuntimeResourceManager` is a thin façade
 over this pipeline, and the :class:`~repro.runtime.queue.AdmissionQueue`
@@ -29,7 +29,6 @@ feeds it request by request.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 from repro.appmodel.library import ImplementationLibrary
@@ -113,7 +112,9 @@ class AdmissionPipeline:
         (per-tile-type residuals, routing pressure, rejection feedback)
         instead of raw fill level, and regions whose feedback penalty
         crosses the exclusion threshold are skipped without mapping.
-        ``None`` keeps the historic least-filled-first ordering.
+        ``None`` keeps the historic least-filled-first ordering.  Its
+        rejection memory is bound to the state's journal, so one
+        ``state.transaction()`` also covers feedback updates.
     """
 
     def __init__(
@@ -140,6 +141,8 @@ class AdmissionPipeline:
         self.region_fallback = region_fallback
         self.max_region_attempts = max(1, max_region_attempts)
         self.region_scorer = region_scorer
+        if region_scorer is not None and region_scorer.feedback is not None:
+            region_scorer.feedback.journal = self.state.journal
         #: How many times the mapping stage ran (cache hits included): the
         #: "wasted mapper calls" currency of the load-shedding benchmark.
         self.mapper_invocations = 0
@@ -323,7 +326,7 @@ class AdmissionPipeline:
 
         With a region, the transaction is scoped to that region's tiles and
         internal links: a failure (or a concurrent sibling's rollback) can
-        never disturb other regions' journals.  Raises
+        never disturb other regions' undo entries.  Raises
         :class:`~repro.exceptions.PlatformError` when any allocation no
         longer fits; the transaction guarantees nothing half-applied leaks.
         """
@@ -616,7 +619,9 @@ class AdmissionPipeline:
         """Release every allocation of an application, transactionally.
 
         Teardown runs inside a (global) transaction so a partially released
-        application can never survive an exception.  Cache invalidation is
+        application can never survive an exception; the application's
+        corridor reservations are released in the same transaction, so an
+        enclosing rollback restores them with the allocations.  Cache invalidation is
         automatic: the release changes the touched regions' fingerprints, so
         entries for the pre-release state can no longer be served for the
         post-release state — while entries computed for an *earlier*
@@ -625,8 +630,8 @@ class AdmissionPipeline:
         """
         with self.state.transaction():
             removed = self.state.release_application(application)
-        if self.interregion is not None:
-            self.interregion.budgets.release_application(application)
+            if self.interregion is not None:
+                self.interregion.budgets.release_application(application)
         self._regions_of_app.pop(application, None)
         return removed
 
@@ -669,23 +674,6 @@ class AdmissionPipeline:
             return
         for region_name in decision.attempted_regions:
             scorer.feedback.record(region_name, decision.shape)
-
-    @contextmanager
-    def feedback_transaction(self):
-        """A journaled scope over the rejection-feedback memory (or a no-op).
-
-        Batch admission wraps its state transaction in this, so feedback
-        recorded for a batch that is later rolled back (all-or-nothing)
-        vanishes with the batch — the memory must only remember decisions
-        that actually stood.
-        """
-        scorer = self.region_scorer
-        if scorer is None or scorer.feedback is None:
-            with nullcontext():
-                yield None
-            return
-        with scorer.feedback.transaction() as txn:
-            yield txn
 
     def regions_of(self, application: str) -> tuple[str, ...]:
         """Names of the regions a running application's allocations landed in."""

@@ -22,7 +22,7 @@ offered:
   lane.  Requests of one region stay serialised among themselves while
   independent regions' requests interleave — and because commits are
   region-scoped transactions, interleaved per-region admissions never touch
-  each other's journals.
+  each other's undo entries.
 
 The queue also exposes the two-phase primitives the workload engine
 builds on — :meth:`take` (claim pending requests, marking them

@@ -38,22 +38,20 @@ per-channel demands, as sorted multisets — deliberately independent of
 process and channel *names*, so a renamed copy of an application hits the
 same memory entry (pinned by property test).
 
-:class:`RejectionMemory` updates follow the same journaled-transaction
-discipline as :class:`~repro.platform.state.PlatformState` and
-:class:`~repro.interregion.budgets.CorridorBudgets`: one transaction stack,
-first-touch snapshots, commit folds into the enclosing scope, and
-rollback restores the memory bit-identically — a feedback update made
-inside an aborted batch admission leaves no trace.
+:class:`RejectionMemory` updates are recorded in a
+:class:`~repro.platform.journal.Journal`; the admission pipeline binds it to
+its platform state's journal, so a feedback update made inside an aborted
+batch admission leaves no trace.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from repro.exceptions import PlatformError
 from repro.kpn.als import ApplicationLevelSpec
+from repro.platform.journal import Journal
 from repro.spatialmapper.desirability import tile_type_demands
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -122,67 +120,6 @@ def shape_fingerprint(
 # --------------------------------------------------------------------------- #
 # Rejection-feedback memory
 # --------------------------------------------------------------------------- #
-class MemoryTransaction:
-    """Undo journal of one :meth:`RejectionMemory.transaction` scope.
-
-    Snapshots, on first touch, the whole per-region weight table of every
-    touched region plus the decay clock.  ``rollback`` replays the
-    snapshots; ``commit`` folds them into the enclosing open transaction,
-    exactly like :class:`~repro.platform.state.StateTransaction`.
-    """
-
-    __slots__ = ("_memory", "_undo", "_seen", "closed", "rolled_back")
-
-    def __init__(self, memory: "RejectionMemory") -> None:
-        self._memory = memory
-        # Entries: ("region", name, {shape: weight} | None) | ("clock", int).
-        self._undo: list[tuple] = []
-        self._seen: set[str] = set()
-        self.closed = False
-        self.rolled_back = False
-
-    def commit(self) -> None:
-        """Keep every feedback change; fold the journal into the parent."""
-        if self.closed:
-            if self.rolled_back:
-                raise PlatformError("feedback transaction was already rolled back")
-            return
-        self.closed = True
-        stack = self._memory._transactions
-        enclosing = stack[: stack.index(self)] if self in stack else stack
-        open_enclosing = [txn for txn in enclosing if not txn.closed]
-        for entry in self._undo:
-            for txn in reversed(open_enclosing):
-                if entry[0] == "clock":
-                    if not any(e[0] == "clock" for e in txn._undo):
-                        txn._undo.append(entry)
-                elif entry[1] not in txn._seen:
-                    txn._seen.add(entry[1])
-                    txn._undo.append(entry)
-                break
-        self._undo = []
-
-    def rollback(self) -> None:
-        """Undo every feedback change made inside the transaction."""
-        if self.closed:
-            if self.rolled_back:
-                return
-            raise PlatformError("feedback transaction was already committed")
-        memory = self._memory
-        for entry in reversed(self._undo):
-            if entry[0] == "clock":
-                memory._clock = entry[1]
-            else:
-                _, name, weights = entry
-                if weights is None:
-                    memory._weights.pop(name, None)
-                else:
-                    memory._weights[name] = dict(weights)
-        self._undo.clear()
-        self.closed = True
-        self.rolled_back = True
-
-
 class RejectionMemory:
     """Decaying per-region memory of recently rejected application shapes.
 
@@ -200,6 +137,11 @@ class RejectionMemory:
         Per-tick multiplicative decay factor in (0, 1).
     min_weight:
         Entries whose weight decays below this are dropped.
+
+    Updates are recorded in :attr:`journal`, a fresh
+    :class:`~repro.platform.journal.Journal` until an
+    :class:`~repro.runtime.pipeline.AdmissionPipeline` binds the memory to
+    its platform state's journal.
     """
 
     def __init__(self, decay: float = 0.7, min_weight: float = 0.05) -> None:
@@ -212,51 +154,29 @@ class RejectionMemory:
         #: region name -> {shape fingerprint: (weight, clock it was current at)}.
         self._weights: dict[str, dict[ShapeKey, tuple[float, int]]] = {}
         self._clock = 0
-        self._transactions: list[MemoryTransaction] = []
+        self.journal = Journal()
 
-    # -- transactions ---------------------------------------------------- #
-    @contextmanager
-    def transaction(self) -> Iterator[MemoryTransaction]:
-        """Open a journaled scope for tentative feedback updates.
-
-        Commits on normal exit (unless rolled back inside the block), rolls
-        back and re-raises on an exception; nested scopes fold into their
-        parent on commit, mirroring :meth:`PlatformState.transaction`.
-        """
-        txn = MemoryTransaction(self)
-        stack = self._transactions
-        stack.append(txn)
-        try:
-            yield txn
-        except BaseException:
-            if not txn.closed:
-                txn.rollback()
-            raise
-        else:
-            if not txn.closed:
-                txn.commit()
-        finally:
-            stack.remove(txn)
-
+    # -- journal ----------------------------------------------------------- #
     def _journal_region(self, region_name: str) -> None:
-        for txn in reversed(self._transactions):
-            if txn.closed:
-                continue
-            if region_name not in txn._seen:
-                txn._seen.add(region_name)
-                weights = self._weights.get(region_name)
-                txn._undo.append(
-                    ("region", region_name, None if weights is None else dict(weights))
-                )
-            return
+        self.journal.touch(
+            "feedback_region", region_name, self._save_region, self._restore_region
+        )
 
-    def _journal_clock(self) -> None:
-        for txn in reversed(self._transactions):
-            if txn.closed:
-                continue
-            if not any(entry[0] == "clock" for entry in txn._undo):
-                txn._undo.append(("clock", self._clock))
-            return
+    def _save_region(self, region_name: str):
+        weights = self._weights.get(region_name)
+        return None if weights is None else dict(weights)
+
+    def _restore_region(self, region_name: str, weights) -> None:
+        if weights is None:
+            self._weights.pop(region_name, None)
+        else:
+            self._weights[region_name] = weights
+
+    def _save_clock(self, _key: None) -> int:
+        return self._clock
+
+    def _restore_clock(self, _key: None, clock: int) -> None:
+        self._clock = clock
 
     # -- updates ---------------------------------------------------------- #
     def tick(self) -> None:
@@ -266,7 +186,7 @@ class RejectionMemory:
         current at), so a tick is O(1); pruning happens on the next touch
         of each entry.
         """
-        self._journal_clock()
+        self.journal.touch("feedback_clock", None, self._save_clock, self._restore_clock)
         self._clock += 1
 
     def record(self, region_name: str, shape: ShapeKey, weight: float = 1.0) -> None:

@@ -42,7 +42,7 @@ def test_rollback_restores_fingerprint(prefix, tentative):
     budgets = CorridorBudgets(_PARTITION, fraction=0.5)
     _apply(budgets, prefix)
     before = budgets.fingerprint()
-    with budgets.transaction() as txn:
+    with budgets.journal.transaction() as txn:
         _apply(budgets, tentative)
         txn.rollback()
     assert budgets.fingerprint() == before
@@ -55,8 +55,8 @@ def test_nested_commit_folds_then_outer_rollback_restores(prefix, inner, outer):
     budgets = CorridorBudgets(_PARTITION, fraction=0.5)
     _apply(budgets, prefix)
     before = budgets.fingerprint()
-    with budgets.transaction() as txn:
-        with budgets.transaction():
+    with budgets.journal.transaction() as txn:
+        with budgets.journal.transaction():
             _apply(budgets, inner)
         _apply(budgets, outer)
         txn.rollback()
@@ -68,7 +68,7 @@ def test_nested_commit_folds_then_outer_rollback_restores(prefix, inner, outer):
 def test_committed_state_equals_unjournaled_replay(ops):
     """Committing a transaction leaves exactly the state of a plain replay."""
     journaled = CorridorBudgets(_PARTITION, fraction=0.5)
-    with journaled.transaction():
+    with journaled.journal.transaction():
         _apply(journaled, ops)
     plain = CorridorBudgets(_PARTITION, fraction=0.5)
     _apply(plain, ops)

@@ -152,7 +152,7 @@ class TestRollbackBitIdentity:
         apply_operations(memory, prefix)
         before = memory.fingerprint()
         try:
-            with memory.transaction():
+            with memory.journal.transaction():
                 apply_operations(memory, inside)
                 raise RuntimeError("abort")
         except RuntimeError:
@@ -171,9 +171,9 @@ class TestRollbackBitIdentity:
         apply_operations(memory, prefix)
         before = memory.fingerprint()
         try:
-            with memory.transaction():
+            with memory.journal.transaction():
                 apply_operations(memory, outer)
-                with memory.transaction():
+                with memory.journal.transaction():
                     apply_operations(memory, inner)
                 raise RuntimeError("abort")
         except RuntimeError:
@@ -187,7 +187,7 @@ class TestRollbackBitIdentity:
         plain = RejectionMemory(decay=decay)
         for memory in (transactional, plain):
             apply_operations(memory, prefix)
-        with transactional.transaction():
+        with transactional.journal.transaction():
             apply_operations(transactional, inside)
         apply_operations(plain, inside)
         assert transactional.fingerprint() == plain.fingerprint()

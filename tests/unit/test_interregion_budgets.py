@@ -89,7 +89,7 @@ class TestTransactions:
     def test_rollback_restores_bit_identically(self, budgets):
         budgets.reserve("keep", "r0_0", "r0_1", 5e8)
         before = budgets.fingerprint()
-        with budgets.transaction() as txn:
+        with budgets.journal.transaction() as txn:
             budgets.reserve("tentative", "r0_0", "r0_1", 1e9)
             budgets.reserve("tentative", "r1_0", "r0_0", 2e9)
             budgets.release_application("keep")
@@ -99,20 +99,20 @@ class TestTransactions:
     def test_exception_rolls_back(self, budgets):
         before = budgets.fingerprint()
         with pytest.raises(RuntimeError):
-            with budgets.transaction():
+            with budgets.journal.transaction():
                 budgets.reserve("x", "r0_0", "r0_1", 1e9)
                 raise RuntimeError("boom")
         assert budgets.fingerprint() == before
 
     def test_commit_keeps_reservations(self, budgets):
-        with budgets.transaction():
+        with budgets.journal.transaction():
             budgets.reserve("x", "r0_0", "r0_1", 1e9)
         assert budgets.reserved_bits_per_s("r0_0", "r0_1") == pytest.approx(1e9)
 
     def test_nested_commit_folds_into_outer_rollback(self, budgets):
         before = budgets.fingerprint()
-        with budgets.transaction() as outer:
-            with budgets.transaction():
+        with budgets.journal.transaction() as outer:
+            with budgets.journal.transaction():
                 budgets.reserve("inner", "r0_0", "r0_1", 1e9)
             # The inner commit folded into the outer journal...
             assert budgets.reserved_bits_per_s("r0_0", "r0_1") == pytest.approx(1e9)
@@ -121,7 +121,7 @@ class TestTransactions:
         assert budgets.fingerprint() == before
 
     def test_double_close_is_guarded(self, budgets):
-        with budgets.transaction() as txn:
+        with budgets.journal.transaction() as txn:
             budgets.reserve("x", "r0_0", "r0_1", 1e9)
             txn.rollback()
             with pytest.raises(PlatformError):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.exceptions import PlatformError
+from repro.interregion.budgets import CorridorBudgets
 from repro.interregion.planner import CorridorScope, InterRegionPlanner
 from repro.platform.regions import RegionPartition
 from repro.runtime.manager import RuntimeResourceManager
@@ -149,6 +150,58 @@ class TestAdmission:
                 )
             )
         assert mappings[0] == mappings[1]
+
+
+class TestSharedJournal:
+    """Corridor reservations roll back with the state transaction around them."""
+
+    @staticmethod
+    def hopeless_app():
+        # A 10 ns period no mapping can sustain: the request is rejected.
+        config = SyntheticConfig(stages=4, period_ns=10.0, tile_types=("GPP", "DSP"))
+        return generate_application(
+            3, config, name="hopeless", source_tile="io_r0_0", sink_tile="io_r0_0"
+        )
+
+    def test_all_or_nothing_rollback_releases_corridor_reservations(self):
+        manager = make_manager()
+        budgets = manager.pipeline.interregion.budgets
+        empty = budgets.fingerprint()
+        app = cross_app(7, "xapp")
+        hopeless = self.hopeless_app()
+        outcome = manager.start_many(
+            [(app.als, app.library), (hopeless.als, hopeless.library)],
+            all_or_nothing=True,
+        )
+        assert [d.admitted for d in outcome.decisions] == [False, False]
+        assert outcome.decisions[0].reason.startswith("rolled back")
+        assert manager.running_applications == ()
+        assert manager.state.occupied_tiles() == ()
+        assert budgets.applications() == ()
+        assert budgets.fingerprint() == empty
+        # Nothing leaked, so the same application is admitted again.
+        assert manager.admit(app.als, library=app.library).admitted
+
+    def test_release_under_a_rolled_back_transaction_keeps_the_reservations(self):
+        manager = make_manager()
+        budgets = manager.pipeline.interregion.budgets
+        app = cross_app(7, "xapp")
+        assert manager.admit(app.als, library=app.library).admitted
+        state_before = manager.state.fingerprint()
+        budgets_before = budgets.fingerprint()
+        with manager.state.transaction() as txn:
+            manager.pipeline.release("xapp")
+            assert budgets.applications() == ()
+            txn.rollback()
+        assert manager.state.fingerprint() == state_before
+        assert budgets.fingerprint() == budgets_before
+        assert budgets.applications() == ("xapp",)
+
+    def test_budgets_on_another_journal_are_refused(self):
+        manager = make_manager()
+        foreign = CorridorBudgets(manager.pipeline.partition)
+        with pytest.raises(PlatformError, match="journal"):
+            InterRegionPlanner(manager.pipeline, budgets=foreign)
 
 
 class TestCorridorScope:

@@ -130,7 +130,7 @@ class TestRejectionMemory:
         memory.tick()
         before = memory.fingerprint()
         with pytest.raises(RuntimeError):
-            with memory.transaction():
+            with memory.journal.transaction():
                 memory.record("r0", self.SHAPE)
                 memory.record("r1", ("other",))
                 memory.tick()
@@ -143,8 +143,8 @@ class TestRejectionMemory:
         memory = RejectionMemory(decay=0.5)
         before = memory.fingerprint()
         with pytest.raises(RuntimeError):
-            with memory.transaction():
-                with memory.transaction():
+            with memory.journal.transaction():
+                with memory.journal.transaction():
                     memory.record("r0", self.SHAPE)
                     memory.tick()
                 # Inner committed; outer abort must still undo it.
@@ -153,7 +153,7 @@ class TestRejectionMemory:
 
     def test_committed_transaction_keeps_updates(self):
         memory = RejectionMemory(decay=0.5)
-        with memory.transaction():
+        with memory.journal.transaction():
             memory.record("r0", self.SHAPE)
         assert memory.penalty("r0", self.SHAPE) == pytest.approx(1.0)
 
